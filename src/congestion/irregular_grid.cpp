@@ -6,6 +6,7 @@
 #include <numeric>
 #include <ostream>
 
+#include "congestion/banded.hpp"
 #include "congestion/prob_kernel.hpp"
 #include "congestion/score_cache.hpp"
 #include "obs/trace.hpp"
@@ -86,26 +87,13 @@ std::uint64_t scoring_fingerprint(const IrregularGridParams& p) {
 /// For every net it derives the covered IR-cell window and each covered
 /// column/row's local fine-lattice span, then computes the net's ncx x ncy
 /// crossing-probability matrix and accumulates it into the block's partial
-/// flow grid. The matrix is a pure function of the signature
-/// (g1, g2, type2, ncx, ncy, spans), so it is memoized in a thread_local
-/// ScoreMemo: during annealing, nets whose modules did not move re-present
-/// identical signatures and skip straight to accumulation. Hit and miss
-/// produce bit-identical matrices, so memoization cannot perturb results.
-///
-/// Banded exact evaluation (IrEvalStrategy::kBandedExact) works in the
-/// canonical type I frame (source cell (0,0), sink (g1-1,g2-1); type II
-/// nets are y-mirrored). Formula 3 for an IR-cell is
-///   P = sum_x in [lx1..lx2] T(x, Y)  +  sum_y in [cy1..cy2] R(X, y)
-/// with T/R the normalized top/right exit terms, Y the cell's top fine row
-/// and X its right fine column. Rather than evaluating each cell's sums
-/// independently, build per-band prefix sums of T (one pass of length g1
-/// per IR row) and of R (one pass of length g2 per IR column), advancing
-/// the terms with exact multiplicative recurrences:
-///   T(x+1,Y)/T(x,Y) = (x+1+Y)/(x+1) * (g1-1-x)/((g1-1-x)+(g2-2-Y))
-///   R(X,y+1)/R(X,y) = (X+1+y)/(y+1) * (g2-1-y)/((g1-2-X)+(g2-1-y))
-/// so the only transcendental call is one exp() per band. Cells covering a
-/// pin are exactly 1 (every route passes a pin cell), which doubles as the
-/// paper's step 3.1.
+/// flow grid. Under kBandedExact the matrix comes from BandedNetScorer
+/// (congestion/banded.hpp). Under the region strategies it is a pure
+/// function of the signature (g1, g2, type2, ncx, ncy, spans), so it is
+/// memoized in a thread_local ScoreMemo: during annealing, nets whose
+/// modules did not move re-present identical signatures and skip straight
+/// to accumulation. Hit and miss produce bit-identical matrices, so
+/// memoization cannot perturb results.
 class NetScorer {
  public:
   NetScorer(LogFactorialTable& table, const IrregularGridParams& params,
@@ -210,14 +198,14 @@ class NetScorer {
           local_hi(cell.yhi, on_grid.sy1, params_->grid_h, on_grid.shape.g2);
     }
 
-    // Memoization split, driven by measurement: under the region
-    // strategies a per-cell evaluation costs microseconds, so the matrix
-    // memo pays for its lookup. Under kBandedExact a full recompute costs
-    // a few hundred nanoseconds — cheaper than pulling a ~30-int key plus
-    // matrix through the cache hierarchy — so the banded path always
-    // recomputes (degenerate shapes fall back to fill_regions and stay
-    // memoized). Hits and misses are bit-identical, so the split is
-    // invisible in results.
+    // Memoization split: under the region strategies a per-cell
+    // evaluation costs microseconds, so the matrix memo pays for its
+    // lookup. The banded path always recomputes and caches nothing: a
+    // recompute costs microseconds too (~7 us per ami49 net at 30 um),
+    // but memoizing its ~900-double matrices at the default 4096 entries
+    // would cost ~28 MiB per thread. Degenerate shapes fall back to
+    // fill_regions and stay memoized. Hits and misses are bit-identical,
+    // so the split is invisible in results.
     const bool banded = params_->strategy == IrEvalStrategy::kBandedExact &&
                         !on_grid.shape.degenerate();
     const std::vector<double>* probs = nullptr;
@@ -227,7 +215,8 @@ class NetScorer {
     }
     if (probs == nullptr) {
       if (banded) {
-        fill_banded(on_grid);
+        banded_.fill(*table_, on_grid.shape, lx1_, lx2_, ly1_, ly2_,
+                     probs_);
       } else {
         fill_regions(on_grid);
         if (memo_->enabled()) memo_->insert(key_, probs_);
@@ -261,101 +250,6 @@ class NetScorer {
     key_.insert(key_.end(), lx2_.begin(), lx2_.end());
     key_.insert(key_.end(), ly1_.begin(), ly1_.end());
     key_.insert(key_.end(), ly2_.begin(), ly2_.end());
-  }
-
-  /// Banded exact probabilities for all covered IR-cells of one net,
-  /// pin-override and clamp applied (see the class comment for the math).
-  void fill_banded(const NetOnGrid& net) {
-    obs::count(obs::Counter::kIrRegionsBanded,
-               static_cast<long long>(net.ncx()) * net.ncy());
-    const int g1 = net.shape.g1;
-    const int g2 = net.shape.g2;
-    const bool t2 = net.shape.type2;
-    const int ncx = net.ncx();
-    const int ncy = net.ncy();
-    probs_.assign(static_cast<std::size_t>(ncx) * static_cast<std::size_t>(ncy),
-                  0.0);
-
-    // Canonical frame: mirror the y-spans for type II nets.
-    row_cy1_.resize(static_cast<std::size_t>(ncy));
-    row_cy2_.resize(static_cast<std::size_t>(ncy));
-    for (int cy = 0; cy < ncy; ++cy) {
-      const int ly1 = ly1_[static_cast<std::size_t>(cy)];
-      const int ly2 = ly2_[static_cast<std::size_t>(cy)];
-      row_cy1_[static_cast<std::size_t>(cy)] = t2 ? g2 - 1 - ly2 : ly1;
-      row_cy2_[static_cast<std::size_t>(cy)] = t2 ? g2 - 1 - ly1 : ly2;
-    }
-
-    const double log_total = table_->log_choose(g1 + g2 - 2, g2 - 1);
-
-    // --- Top-exit pass: one prefix-sum row per covered IR row.
-    prefix_.resize(static_cast<std::size_t>(g1));
-    for (int cy = 0; cy < ncy; ++cy) {
-      const int top = row_cy2_[static_cast<std::size_t>(cy)];
-      if (top >= g2 - 1) continue;  // no cell above: no top exits
-      double term = std::exp(
-          table_->log_choose(g1 - 1 + g2 - 2 - top, g2 - 2 - top) - log_total);
-      double running = 0.0;
-      for (int x = 0; x < g1; ++x) {
-        running += term;
-        prefix_[static_cast<std::size_t>(x)] = running;
-        if (x < g1 - 1) {
-          term *= (static_cast<double>(x + 1 + top) / (x + 1)) *
-                  (static_cast<double>(g1 - 1 - x) /
-                   ((g1 - 1 - x) + (g2 - 2 - top)));
-        }
-      }
-      for (int cx = 0; cx < ncx; ++cx) {
-        const int lx1 = lx1_[static_cast<std::size_t>(cx)];
-        const int lx2 = lx2_[static_cast<std::size_t>(cx)];
-        const double sum = prefix_[static_cast<std::size_t>(lx2)] -
-                           (lx1 > 0 ? prefix_[static_cast<std::size_t>(lx1 - 1)]
-                                    : 0.0);
-        probs_[index(cx, cy, ncx)] += sum;
-      }
-    }
-
-    // --- Right-exit pass: one prefix-sum column per covered IR column.
-    prefix_.resize(static_cast<std::size_t>(std::max(g1, g2)));
-    for (int cx = 0; cx < ncx; ++cx) {
-      const int right = lx2_[static_cast<std::size_t>(cx)];
-      if (right >= g1 - 1) continue;  // no cell to the right
-      double term = std::exp(
-          table_->log_choose(g1 - 2 - right + g2 - 1, g2 - 1) - log_total);
-      double running = 0.0;
-      for (int y = 0; y < g2; ++y) {
-        running += term;
-        prefix_[static_cast<std::size_t>(y)] = running;
-        if (y < g2 - 1) {
-          term *= (static_cast<double>(right + 1 + y) / (y + 1)) *
-                  (static_cast<double>(g2 - 1 - y) /
-                   ((g1 - 2 - right) + (g2 - 1 - y)));
-        }
-      }
-      for (int cy = 0; cy < ncy; ++cy) {
-        const int cy1 = row_cy1_[static_cast<std::size_t>(cy)];
-        const int cy2 = row_cy2_[static_cast<std::size_t>(cy)];
-        const double sum = prefix_[static_cast<std::size_t>(cy2)] -
-                           (cy1 > 0 ? prefix_[static_cast<std::size_t>(cy1 - 1)]
-                                    : 0.0);
-        probs_[index(cx, cy, ncx)] += sum;
-      }
-    }
-
-    // --- Pin override + clamp.
-    for (int cy = 0; cy < ncy; ++cy) {
-      const int cy1 = row_cy1_[static_cast<std::size_t>(cy)];
-      const int cy2 = row_cy2_[static_cast<std::size_t>(cy)];
-      for (int cx = 0; cx < ncx; ++cx) {
-        const int lx1 = lx1_[static_cast<std::size_t>(cx)];
-        const int lx2 = lx2_[static_cast<std::size_t>(cx)];
-        double& p = probs_[index(cx, cy, ncx)];
-        const bool covers_source = lx1 == 0 && cy1 == 0;
-        const bool covers_sink = lx2 == g1 - 1 && cy2 == g2 - 1;
-        if (covers_source || covers_sink) p = 1.0;
-        p = std::clamp(p, 0.0, 1.0);
-      }
-    }
   }
 
   /// Per-region probabilities (kTheorem1 / kExactPerRegion, and the
@@ -395,13 +289,12 @@ class NetScorer {
   const IrregularGridParams* params_;
   ScoreMemo* memo_;
   ProbKernel kernel_;
+  BandedNetScorer banded_;
   // Scratch buffers reused across the nets of one evaluation block (each
   // block has its own scorer, so these are never shared between threads).
   std::vector<GridRect> regions_;
   std::vector<double> probs_;
-  std::vector<double> prefix_;
   std::vector<int> lx1_, lx2_, ly1_, ly2_;
-  std::vector<int> row_cy1_, row_cy2_;
   ScoreMemo::Key key_;
 };
 

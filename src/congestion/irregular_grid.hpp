@@ -37,10 +37,12 @@ enum class IrEvalStrategy {
   kExactPerRegion,
   /// Exact Formula 3 for ALL IR-grids of a net at once via per-cut-band
   /// prefix sums of the exit terms (multiplicative recurrences, no
-  /// binomials in the inner loop). Same results as kExactPerRegion to
-  /// floating-point accuracy but O(g1 + g2) per band instead of per cell —
-  /// the fast path for annealing-embedded use. An engineering improvement
-  /// over the paper; see DESIGN.md ("Key design decisions").
+  /// binomials in the inner loop), two bands per 2-lane vector walk. Same
+  /// results as kExactPerRegion to floating-point accuracy (while the band
+  /// seeds do not underflow, g up to ~600) at O(g1) or O(g2) per band
+  /// instead of per cell — the fast path for annealing-embedded use. An
+  /// engineering improvement over the paper; see congestion/banded.hpp
+  /// and DESIGN.md ("Key design decisions").
   kBandedExact,
 };
 
@@ -54,8 +56,9 @@ struct IrregularGridParams {
   /// the paper uses "double of the width/length of a grid", i.e. 2.0).
   double merge_factor = 2.0;
   /// Capacity (entries) of the per-thread LRU memo for per-net probability
-  /// matrices (region strategies) and per-shape band start terms (banded
-  /// strategy); 0 disables memoization. Hits and misses return
+  /// matrices of the region strategies (kBandedExact recomputes and caches
+  /// nothing, except for degenerate shapes that fall back to the region
+  /// path); 0 disables memoization. Hits and misses return
   /// bit-identical values, so this knob trades memory for speed without
   /// ever changing results. 4096 covers the live shape population of
   /// MCNC-scale anneals; larger capacities were measured slower (the

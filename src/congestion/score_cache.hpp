@@ -10,14 +10,13 @@
 //   [g1, g2, type2, ncx, ncy, col spans..., row spans...]  (fine-lattice
 //   integers, unmirrored)
 //
-// to the net's full ncx x ncy probability matrix. The banded-exact scorer
-// additionally stores per-shape band start terms under the length-2 key
-// [g1, g2] — key lengths cannot collide because matrix signatures are
-// always at least 9 ints long. Like the log-factorial tables, instances
-// are meant to be `thread_local` inside the evaluation workers: per-thread
-// duplicates are harmless because hit and miss return bit-identical
-// values, which is also why memoized and unmemoized runs (and runs at any
-// FICON_THREADS) produce bit-identical congestion maps.
+// to the net's full ncx x ncy probability matrix. Only the region
+// strategies (and the banded strategy's degenerate-shape fallback) use
+// it; banded scoring caches nothing. Like the log-factorial tables,
+// instances are meant to be `thread_local` inside the evaluation workers:
+// per-thread duplicates are harmless because hit and miss return
+// bit-identical values, which is also why memoized and unmemoized runs
+// (and runs at any FICON_THREADS) produce bit-identical congestion maps.
 //
 // Invalidation: values depend on the evaluation options (strategy,
 // Theorem-1 knobs, fine pitch), so configure() takes a fingerprint of

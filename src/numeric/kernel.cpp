@@ -1,9 +1,11 @@
 #include "numeric/kernel.hpp"
 
 #include <algorithm>
+#include <cctype>
 #include <cmath>
 #include <cstring>
 #include <numbers>
+#include <stdexcept>
 #include <string>
 
 #include "numeric/normal.hpp"
@@ -130,12 +132,23 @@ inline vd2 exp2v(vd2 x) {
 
 bool kernel_simd_compiled() { return FICON_KERNEL_VECTOR != 0; }
 
+bool parse_simd_knob(std::string_view value) {
+  std::string v(value);
+  std::transform(v.begin(), v.end(), v.begin(), [](unsigned char c) {
+    return static_cast<char>(std::tolower(c));
+  });
+  if (v == "1" || v == "on" || v == "true") return true;
+  if (v == "0" || v == "off" || v == "false") return false;
+  throw std::invalid_argument("FICON_SIMD: unrecognized value '" +
+                              std::string(value) +
+                              "' (expected 1/on/true or 0/off/false)");
+}
+
 bool kernel_simd_default() {
-  static const bool enabled = [] {
-    if (!kernel_simd_compiled()) return false;
-    const std::string v = env_string("FICON_SIMD", "1");
-    return !(v == "0" || v == "off" || v == "OFF" || v == "false");
-  }();
+  // A bad value throws here on every call (a static whose initializer
+  // throws is retried), so no evaluation runs on a misread knob.
+  static const bool enabled =
+      parse_simd_knob(env_string("FICON_SIMD", "1")) && kernel_simd_compiled();
   return enabled;
 }
 

@@ -28,6 +28,7 @@
 
 #include <cstdint>
 #include <span>
+#include <string_view>
 
 namespace ficon {
 
@@ -48,9 +49,14 @@ enum class SimdMode {
 /// supports the vector extensions (GCC/Clang).
 bool kernel_simd_compiled();
 
+/// Value of the FICON_SIMD environment knob: "1"/"on"/"true" enable,
+/// "0"/"off"/"false" disable, letters in any case. Anything else throws
+/// std::invalid_argument naming the knob.
+bool parse_simd_knob(std::string_view value);
+
 /// Resolved default for SimdMode::kAuto: the FICON_SIMD environment knob
-/// ("0"/"off"/"false" disable; anything else enables), read once, and
-/// forced off when kernel_simd_compiled() is false.
+/// (default on) parsed by parse_simd_knob(), read once, and forced off
+/// when kernel_simd_compiled() is false. Throws on a malformed value.
 bool kernel_simd_default();
 
 /// Resolve a mode to "use the batched kernel path?".

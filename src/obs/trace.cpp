@@ -39,9 +39,13 @@ struct Registry {
   std::vector<std::shared_ptr<ThreadSink>> sinks FICON_GUARDED_BY(mutex);
 };
 
+/// Never destroyed: a pool worker that starts late registers its sink
+/// here and may do so after main() returned, while static destructors
+/// run (the registry is first built from such a worker, after the
+/// pool's own static, so it would be destroyed first).
 Registry& registry() {
-  static Registry r;
-  return r;
+  static Registry* const r = new Registry;
+  return *r;
 }
 
 ThreadSink& local_sink() {

@@ -18,8 +18,11 @@ struct CliRun {
   std::string output;
 };
 
-CliRun run_cli(const std::string& args) {
-  const std::string cmd = std::string(FICON_CLI_BINARY) + " " + args + " 2>&1";
+/// Runs the CLI with `args`; `env` (e.g. "FICON_SIMD=0") prefixes the
+/// command line as environment assignments.
+CliRun run_cli(const std::string& args, const std::string& env = "") {
+  const std::string cmd =
+      env + " " + std::string(FICON_CLI_BINARY) + " " + args + " 2>&1";
   CliRun run;
   FILE* pipe = popen(cmd.c_str(), "r");
   if (pipe == nullptr) return run;
@@ -87,6 +90,17 @@ TEST(FiconCliTest, UnknownCircuitExitsTwo) {
   EXPECT_NE(run.output.find("cannot load 'no_such_circuit'"),
             std::string::npos)
       << run.output;
+}
+
+TEST(FiconCliTest, MalformedSimdKnobFailsLoudly) {
+  // FICON_SIMD accepts on/off spellings only; "scalar" used to run SIMD.
+  const CliRun bad =
+      run_cli("--circuit apte --op evaluate --json", "FICON_SIMD=scalar");
+  EXPECT_NE(bad.exit_code, 0) << bad.output;
+  EXPECT_NE(bad.output.find("FICON_SIMD"), std::string::npos) << bad.output;
+  const CliRun off =
+      run_cli("--circuit apte --op evaluate --json", "FICON_SIMD=off");
+  EXPECT_EQ(off.exit_code, 0) << off.output;
 }
 
 TEST(FiconCliTest, JsonEvaluatePrintsOneCanonicalLine) {

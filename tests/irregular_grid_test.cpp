@@ -1,9 +1,14 @@
 // Irregular-Grid congestion model: end-to-end evaluation semantics.
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <sstream>
 
 #include <gtest/gtest.h>
 
 #include "circuit/mcnc.hpp"
+#include "congestion/banded.hpp"
 #include "congestion/fixed_grid.hpp"
 #include "congestion/irregular_grid.hpp"
 #include "floorplan/slicing.hpp"
@@ -21,6 +26,155 @@ IrregularGridParams fine_params() {
   p.grid_w = 10;
   p.grid_h = 10;
   return p;
+}
+
+// The banded net fill with every band walked on its own by scalar loops:
+// the reference the paired-lane walker must reproduce bit for bit.
+std::vector<double> scalar_banded_reference(LogFactorialTable& table,
+                                            const NetGridShape& shape,
+                                            const std::vector<int>& lx1_,
+                                            const std::vector<int>& lx2_,
+                                            const std::vector<int>& ly1_,
+                                            const std::vector<int>& ly2_) {
+  const auto index = [](int cx, int cy, int ncx) {
+    return static_cast<std::size_t>(cy) * static_cast<std::size_t>(ncx) +
+           static_cast<std::size_t>(cx);
+  };
+  const int g1 = shape.g1;
+  const int g2 = shape.g2;
+  const bool t2 = shape.type2;
+  const int ncx = static_cast<int>(lx1_.size());
+  const int ncy = static_cast<int>(ly1_.size());
+  std::vector<double> probs_(
+      static_cast<std::size_t>(ncx) * static_cast<std::size_t>(ncy), 0.0);
+  std::vector<int> row_cy1_(static_cast<std::size_t>(ncy));
+  std::vector<int> row_cy2_(static_cast<std::size_t>(ncy));
+  for (int cy = 0; cy < ncy; ++cy) {
+    const int ly1 = ly1_[static_cast<std::size_t>(cy)];
+    const int ly2 = ly2_[static_cast<std::size_t>(cy)];
+    row_cy1_[static_cast<std::size_t>(cy)] = t2 ? g2 - 1 - ly2 : ly1;
+    row_cy2_[static_cast<std::size_t>(cy)] = t2 ? g2 - 1 - ly1 : ly2;
+  }
+
+  const double log_total = table.log_choose(g1 + g2 - 2, g2 - 1);
+
+  // --- Top-exit pass: one prefix-sum row per covered IR row.
+  std::vector<double> prefix_(static_cast<std::size_t>(g1));
+  for (int cy = 0; cy < ncy; ++cy) {
+    const int top = row_cy2_[static_cast<std::size_t>(cy)];
+    if (top >= g2 - 1) continue;  // no cell above: no top exits
+    double term = std::exp(
+        table.log_choose(g1 - 1 + g2 - 2 - top, g2 - 2 - top) - log_total);
+    double running = 0.0;
+    for (int x = 0; x < g1; ++x) {
+      running += term;
+      prefix_[static_cast<std::size_t>(x)] = running;
+      if (x < g1 - 1) {
+        term *= (static_cast<double>(x + 1 + top) / (x + 1)) *
+                (static_cast<double>(g1 - 1 - x) /
+                 ((g1 - 1 - x) + (g2 - 2 - top)));
+      }
+    }
+    for (int cx = 0; cx < ncx; ++cx) {
+      const int lx1 = lx1_[static_cast<std::size_t>(cx)];
+      const int lx2 = lx2_[static_cast<std::size_t>(cx)];
+      const double sum = prefix_[static_cast<std::size_t>(lx2)] -
+                         (lx1 > 0 ? prefix_[static_cast<std::size_t>(lx1 - 1)]
+                                  : 0.0);
+      probs_[index(cx, cy, ncx)] += sum;
+    }
+  }
+
+  // --- Right-exit pass: one prefix-sum column per covered IR column.
+  prefix_.resize(static_cast<std::size_t>(std::max(g1, g2)));
+  for (int cx = 0; cx < ncx; ++cx) {
+    const int right = lx2_[static_cast<std::size_t>(cx)];
+    if (right >= g1 - 1) continue;  // no cell to the right
+    double term = std::exp(
+        table.log_choose(g1 - 2 - right + g2 - 1, g2 - 1) - log_total);
+    double running = 0.0;
+    for (int y = 0; y < g2; ++y) {
+      running += term;
+      prefix_[static_cast<std::size_t>(y)] = running;
+      if (y < g2 - 1) {
+        term *= (static_cast<double>(right + 1 + y) / (y + 1)) *
+                (static_cast<double>(g2 - 1 - y) /
+                 ((g1 - 2 - right) + (g2 - 1 - y)));
+      }
+    }
+    for (int cy = 0; cy < ncy; ++cy) {
+      const int cy1 = row_cy1_[static_cast<std::size_t>(cy)];
+      const int cy2 = row_cy2_[static_cast<std::size_t>(cy)];
+      const double sum = prefix_[static_cast<std::size_t>(cy2)] -
+                         (cy1 > 0 ? prefix_[static_cast<std::size_t>(cy1 - 1)]
+                                  : 0.0);
+      probs_[index(cx, cy, ncx)] += sum;
+    }
+  }
+
+  // --- Pin override + clamp.
+  for (int cy = 0; cy < ncy; ++cy) {
+    const int cy1 = row_cy1_[static_cast<std::size_t>(cy)];
+    const int cy2 = row_cy2_[static_cast<std::size_t>(cy)];
+    for (int cx = 0; cx < ncx; ++cx) {
+      const int lx1 = lx1_[static_cast<std::size_t>(cx)];
+      const int lx2 = lx2_[static_cast<std::size_t>(cx)];
+      double& p = probs_[index(cx, cy, ncx)];
+      const bool covers_source = lx1 == 0 && cy1 == 0;
+      const bool covers_sink = lx2 == g1 - 1 && cy2 == g2 - 1;
+      if (covers_source || covers_sink) p = 1.0;
+      p = std::clamp(p, 0.0, 1.0);
+    }
+  }
+  return probs_;
+}
+
+/// The single-band scalar recurrence in walk_band_pair()'s (q, v) terms.
+std::vector<double> scalar_band(int len, const ExitBand& band) {
+  std::vector<double> prefix(static_cast<std::size_t>(len));
+  double term = band.seed;
+  double running = 0.0;
+  for (int x = 0; x < len; ++x) {
+    running += term;
+    prefix[static_cast<std::size_t>(x)] = running;
+    if (x < len - 1) {
+      term *= (static_cast<double>(x + 1 + band.q) / (x + 1)) *
+              (static_cast<double>(len - 1 - x) / ((len - 1 - x) + band.v));
+    }
+  }
+  return prefix;
+}
+
+/// `count` fine-lattice spans [lo, hi] over [0, g-1]. Partition mode cuts
+/// the lattice into contiguous spans, each optionally grown one cell
+/// down (IR-cell edges off the fine lattice share a boundary cell); the
+/// other mode draws arbitrary spans, many of them ending on g-1, so whole
+/// bands are skipped in the middle of a pass.
+void random_spans(Rng& rng, int g, int count, bool partition,
+                  std::vector<int>& lo, std::vector<int>& hi) {
+  lo.assign(static_cast<std::size_t>(count), 0);
+  hi.assign(static_cast<std::size_t>(count), 0);
+  if (partition) {
+    std::vector<int> cuts{0, g};
+    while (static_cast<int>(cuts.size()) < count + 1) {
+      const int c = rng.uniform_int(1, g - 1);
+      if (std::find(cuts.begin(), cuts.end(), c) == cuts.end()) {
+        cuts.push_back(c);
+      }
+    }
+    std::sort(cuts.begin(), cuts.end());
+    for (std::size_t i = 0; i < lo.size(); ++i) {
+      lo[i] = cuts[i] > 0 && rng.chance(0.3) ? cuts[i] - 1 : cuts[i];
+      hi[i] = cuts[i + 1] - 1;
+    }
+    return;
+  }
+  for (std::size_t i = 0; i < lo.size(); ++i) {
+    const int a = rng.uniform_int(0, g - 1);
+    const int b = rng.chance(0.4) ? g - 1 : rng.uniform_int(0, g - 1);
+    lo[i] = std::min(a, b);
+    hi[i] = std::max(a, b);
+  }
 }
 
 TEST(IrregularGrid, SingleNetDecomposition) {
@@ -141,6 +295,123 @@ TEST(IrregularGrid, BandedMatchesPerRegionExactly) {
       }
     }
   }
+}
+
+TEST(IrregularGrid, BandedAmi49StreamIsBitIdenticalToGolden) {
+  // Pins the default banded path bit for bit: every flow value of a
+  // seeded stream of ami49 candidates (30 um pitch, one random move
+  // apart) is hashed by its bit pattern, and the last candidate's
+  // top-fraction cost is pinned exactly. Speed work on the banded scorer
+  // must keep both; an intended numerical change must re-record them and
+  // say so. The values assume IEEE doubles without FMA contraction (the
+  // default x86-64 build).
+  const Netlist netlist = make_mcnc("ami49");
+  const SlicingPacker packer(netlist);
+  const IrregularGridModel model;  // kBandedExact, 30 um
+  ASSERT_EQ(model.params().strategy, IrEvalStrategy::kBandedExact);
+  Rng rng(4949);
+  PolishExpression expr =
+      PolishExpression::initial(static_cast<int>(netlist.module_count()));
+  for (int k = 0; k < 500; ++k) expr.random_move(rng);
+  std::uint64_t hash = 0xcbf29ce484222325ull;  // FNV-1a over 64-bit words
+  const auto fold = [&hash](std::uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (word >> (8 * byte)) & 0xffu;
+      hash *= 0x100000001b3ull;
+    }
+  };
+  double cost = 0.0;
+  for (int candidate = 0; candidate < 50; ++candidate) {
+    expr.random_move(rng);
+    const SlicingResult packed = packer.pack(expr);
+    const auto nets = decompose_to_two_pin(netlist, packed.placement);
+    const IrregularCongestionMap map =
+        model.evaluate(nets, packed.placement.chip);
+    fold(static_cast<std::uint64_t>(map.nx()));
+    fold(static_cast<std::uint64_t>(map.ny()));
+    for (int iy = 0; iy < map.ny(); ++iy) {
+      for (int ix = 0; ix < map.nx(); ++ix) {
+        fold(std::bit_cast<std::uint64_t>(map.flow(ix, iy)));
+      }
+    }
+    cost = map.top_fraction_cost(model.params().top_fraction);
+    fold(std::bit_cast<std::uint64_t>(cost));
+  }
+  EXPECT_EQ(hash, 0xea19f351416d74eaull);
+  EXPECT_EQ(cost, 0x1.41cdcb8822509p-10);
+}
+
+TEST(BandedWalker, PairedLanesMatchScalarRecurrenceBitForBit) {
+  // Two bands per 2-lane walk must give exactly the prefix sums of
+  // walking each alone, including the same band in both lanes (how an
+  // odd last band is walked) and bands whose ratios cross 1 mid-walk.
+  Rng rng(58);
+  for (const int len : {1, 2, 3, 150, 600}) {
+    for (int trial = 0; trial < 20; ++trial) {
+      const ExitBand a{rng.uniform(1e-300, 1.0), rng.uniform_int(0, 700),
+                       rng.uniform_int(0, 700)};
+      const ExitBand b = trial % 5 == 0
+                             ? a
+                             : ExitBand{rng.uniform(1e-300, 1.0),
+                                        rng.uniform_int(0, 700),
+                                        rng.uniform_int(0, 700)};
+      std::vector<double> pa(static_cast<std::size_t>(len));
+      std::vector<double> pb(static_cast<std::size_t>(len));
+      walk_band_pair(len, a, b, pa, pb);
+      const std::vector<double> ra = scalar_band(len, a);
+      const std::vector<double> rb = scalar_band(len, b);
+      for (std::size_t i = 0; i < pa.size(); ++i) {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(pa[i]),
+                  std::bit_cast<std::uint64_t>(ra[i]))
+            << "len " << len << " trial " << trial << " step " << i;
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(pb[i]),
+                  std::bit_cast<std::uint64_t>(rb[i]))
+            << "len " << len << " trial " << trial << " step " << i;
+      }
+    }
+  }
+}
+
+TEST(BandedWalker, NetMatrixMatchesScalarBandsBitForBit) {
+  // The whole banded net fill against the one-band-at-a-time scalar
+  // loops: g in {2, 3, 150, 600} per side, 1..6 covered rows/columns
+  // (so 0, 1, 2, 3 and 5 bands walked per pass in partition mode), both
+  // net types, and arbitrary spans that skip bands mid-pass.
+  Rng rng(59);
+  LogFactorialTable table;
+  BandedNetScorer scorer;
+  std::vector<int> lx1, lx2, ly1, ly2;
+  std::vector<double> probs;
+  int fills = 0;
+  for (const int g1 : {2, 3, 150, 600}) {
+    for (const int g2 : {2, 3, 150, 600}) {
+      for (const int ncx : {1, 2, 3, 4, 6}) {
+        for (const int ncy : {1, 2, 3, 4, 6}) {
+          if (ncx > g1 || ncy > g2) continue;
+          for (const bool type2 : {false, true}) {
+            for (const bool partition : {true, false}) {
+              const NetGridShape shape{g1, g2, type2};
+              random_spans(rng, g1, ncx, partition, lx1, lx2);
+              random_spans(rng, g2, ncy, partition, ly1, ly2);
+              scorer.fill(table, shape, lx1, lx2, ly1, ly2, probs);
+              const std::vector<double> want =
+                  scalar_banded_reference(table, shape, lx1, lx2, ly1, ly2);
+              ASSERT_EQ(probs.size(), want.size());
+              for (std::size_t i = 0; i < probs.size(); ++i) {
+                ASSERT_EQ(std::bit_cast<std::uint64_t>(probs[i]),
+                          std::bit_cast<std::uint64_t>(want[i]))
+                    << "g " << g1 << 'x' << g2 << " cells " << ncx << 'x'
+                    << ncy << " type2 " << type2 << " partition "
+                    << partition << " cell " << i;
+              }
+              ++fills;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(fills, 300);
 }
 
 TEST(IrregularGrid, DegenerateNetsHandled) {

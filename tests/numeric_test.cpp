@@ -1,11 +1,14 @@
 // Tests for the numeric kernel: factorial/binomial tables, Simpson
-// integration, and the normal-distribution helpers.
+// integration, the normal-distribution helpers, and the FICON_SIMD knob.
 #include <cmath>
 #include <numbers>
+#include <stdexcept>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "numeric/factorial.hpp"
+#include "numeric/kernel.hpp"
 #include "numeric/normal.hpp"
 #include "numeric/simpson.hpp"
 
@@ -139,6 +142,34 @@ TEST(Normal, PdfIsDerivativeOfCdf) {
     const double numeric =
         (std_normal_cdf(z + h) - std_normal_cdf(z - h)) / (2.0 * h);
     EXPECT_NEAR(numeric, std_normal_pdf(z), 1e-6) << "z=" << z;
+  }
+}
+
+TEST(SimdKnob, OnSpellingsEnable) {
+  for (const char* v : {"1", "on", "ON", "On", "true", "TRUE", "True"}) {
+    EXPECT_TRUE(parse_simd_knob(v)) << v;
+  }
+}
+
+TEST(SimdKnob, OffSpellingsDisable) {
+  for (const char* v : {"0", "off", "OFF", "Off", "false", "FALSE"}) {
+    EXPECT_FALSE(parse_simd_knob(v)) << v;
+  }
+}
+
+TEST(SimdKnob, UnknownValuesAreAHardErrorNamingTheKnob) {
+  // Regression: "scalar" used to fall through to SIMD-on in silence.
+  for (const char* v : {"scalar", "simd", "2", "-1", "yes", "no", " on",
+                        "off ", ""}) {
+    try {
+      parse_simd_knob(v);
+      ADD_FAILURE() << "accepted '" << v << "'";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("FICON_SIMD"), std::string::npos) << what;
+      EXPECT_NE(what.find(std::string("'") + v + "'"), std::string::npos)
+          << what;
+    }
   }
 }
 
