@@ -12,7 +12,7 @@
 
 using namespace ficon;
 
-int main() {
+int run_bench() {
   const ExperimentConfig config = experiment_config_from_env();
   const std::string circuit = env_string("FICON_T4_CIRCUIT", "ami33");
   std::cout << "Ablation 1 — cut-line merge factor (" << circuit << ")\n";
@@ -71,3 +71,5 @@ int main() {
                "within annealing noise; times differ)\n";
   return 0;
 }
+
+int main() { return ficon::bench::guarded_main("bench_ablation", run_bench); }

@@ -14,8 +14,10 @@
 #include <cstdio>
 #include <fstream>
 #include <functional>
+#include <iostream>
 #include <optional>
 #include <ostream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
@@ -35,6 +37,19 @@ inline double timed_ms(const std::function<void()>& fn, int repeats,
   Stopwatch sw;
   for (int i = 0; i < repeats; ++i) fn();
   return sw.milliseconds() / repeats;
+}
+
+/// Runs a bench's `body` and returns its exit status. A malformed numeric
+/// env knob (env_int()/env_double() throw std::invalid_argument naming it)
+/// or an unknown circuit name becomes one error line and status 2 instead
+/// of an uncaught exception ending in std::terminate.
+inline int guarded_main(const char* bench, const std::function<int()>& body) {
+  try {
+    return body();
+  } catch (const std::invalid_argument& e) {
+    std::cerr << bench << ": " << e.what() << "\n";
+    return 2;
+  }
 }
 
 /// Peak resident set size of this process in MiB (Linux VmHWM — a

@@ -11,7 +11,7 @@
 
 using namespace ficon;
 
-int main() {
+int run_bench() {
   const ExperimentConfig config = experiment_config_from_env();
   const std::string circuit = env_string("FICON_T4_CIRCUIT", "ami33");
   std::cout << "Engine comparison — IR-congestion objective under two "
@@ -50,3 +50,5 @@ int main() {
                "lower than the baseline row)\n";
   return 0;
 }
+
+int main() { return ficon::bench::guarded_main("bench_engines", run_bench); }

@@ -7,6 +7,7 @@
 #include <iostream>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "ficon.hpp"
 
 using namespace ficon;
@@ -51,7 +52,7 @@ CongestionMap evaluate_counts(const std::vector<TwoPinNet>& nets,
 
 }  // namespace
 
-int main() {
+int run_bench() {
   const Rect chip{0, 0, 600, 400};
   const auto nets = didactic_nets();
 
@@ -110,3 +111,5 @@ int main() {
                "half (paper section 4.1)\n";
   return 0;
 }
+
+int main() { return ficon::bench::guarded_main("bench_fig34_gridsize", run_bench); }

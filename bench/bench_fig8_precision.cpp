@@ -11,13 +11,15 @@
 #include <cmath>
 #include <iostream>
 
+#include "bench_common.hpp"
 #include "ficon.hpp"
 
 using namespace ficon;
 
-int main() {
+int run_bench() {
   const int g1 = 31, g2 = 21;
-  const ProbabilityEvaluator approx;
+  LogFactorialTable table;
+  const PathProbability exact(table);
 
   std::cout << "Figure 8 — approximation precision on a " << g1 << "x" << g2
             << " type I net\n\n";
@@ -26,8 +28,8 @@ int main() {
   TextTable curve({"x", "exact", "approx", "|dev|"});
   double worst_b = 0.0;
   for (int x = 10; x <= 20; ++x) {
-    const double e = approx.top_exit_term_exact(g1, g2, x, 15);
-    const auto a = approx.top_exit_term_approx(g1, g2, x, 15);
+    const double e = top_exit_term_exact(exact, g1, g2, x, 15);
+    const auto a = top_exit_term_approx(g1, g2, x, 15);
     const double dev = a ? std::abs(*a - e) : -1.0;
     worst_b = std::max(worst_b, dev);
     curve.add_row({std::to_string(x), fmt_fixed(e, 6),
@@ -41,8 +43,8 @@ int main() {
   std::cout << "(d) Function(1) at y2 = 19 (pin-adjacent row), x = 24..30:\n";
   TextTable edge({"x", "exact", "approx"});
   for (int x = 24; x <= 30; ++x) {
-    const double e = approx.top_exit_term_exact(g1, g2, x, 19);
-    const auto a = approx.top_exit_term_approx(g1, g2, x, 19);
+    const double e = top_exit_term_exact(exact, g1, g2, x, 19);
+    const auto a = top_exit_term_approx(g1, g2, x, 19);
     edge.add_row({std::to_string(x), fmt_fixed(e, 6),
                   a ? fmt_fixed(*a, 6) : "(no value — error cell)"});
   }
@@ -54,10 +56,10 @@ int main() {
   long long count = 0, above_005 = 0;
   for (int y2 = 0; y2 < g2 - 1; ++y2) {
     for (int x = 0; x < g1; ++x) {
-      const auto a = approx.top_exit_term_approx(g1, g2, x, y2);
+      const auto a = top_exit_term_approx(g1, g2, x, y2);
       if (!a) continue;
       const double dev =
-          std::abs(*a - approx.top_exit_term_exact(g1, g2, x, y2));
+          std::abs(*a - top_exit_term_exact(exact, g1, g2, x, y2));
       worst = std::max(worst, dev);
       ++count;
       if (dev >= 0.05) ++above_005;
@@ -71,7 +73,6 @@ int main() {
   // Region-integral ablation: continuity correction on vs off.
   ApproxOptions literal;
   literal.continuity_correction = false;
-  const ProbabilityEvaluator approx_literal(literal);
   const NetGridShape shape{g1, g2, false};
   double err_corrected = 0.0, err_literal = 0.0;
   int regions = 0;
@@ -79,9 +80,9 @@ int main() {
     for (int y1 = 2; y1 < 16; y1 += 3) {
       const GridRect r{x1, y1, std::min(x1 + 5, g1 - 2),
                        std::min(y1 + 4, g2 - 2)};
-      const double e = approx.region_probability_exact(shape, r);
-      const auto c = approx.theorem1(g1, g2, r);
-      const auto l = approx_literal.theorem1(g1, g2, r);
+      const double e = exact.region_probability_exact(shape, r);
+      const auto c = theorem1(g1, g2, r);
+      const auto l = theorem1(g1, g2, r, literal);
       if (!c || !l) continue;
       err_corrected += std::abs(*c - e);
       err_literal += std::abs(*l - e);
@@ -96,3 +97,5 @@ int main() {
             << fmt_fixed(err_literal / regions, 5) << '\n';
   return 0;
 }
+
+int main() { return ficon::bench::guarded_main("bench_fig8_precision", run_bench); }

@@ -17,7 +17,7 @@
 
 using namespace ficon;
 
-int main() {
+int run_bench() {
   const ExperimentConfig config = experiment_config_from_env();
   const std::string circuit = env_string("FICON_T4_CIRCUIT", "ami33");
   std::cout << "Figure 9 — model tracking during congestion-only annealing ("
@@ -86,3 +86,5 @@ int main() {
                "noise; see EXPERIMENTS.md.)\n";
   return 0;
 }
+
+int main() { return ficon::bench::guarded_main("bench_fig9_tracking", run_bench); }

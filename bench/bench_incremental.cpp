@@ -109,7 +109,7 @@ StageResult decompose_stage(const Netlist& netlist, int moves) {
 
 }  // namespace
 
-int main() {
+int run_bench() {
   obs::set_thread_label("main");
   const ExperimentConfig config = experiment_config_from_env();
   const std::string circuit = env_string("FICON_INC_CIRCUIT", "ami33");
@@ -225,3 +225,5 @@ int main() {
   obs::emit_env_trace(std::cout, "bench_incremental");
   return pass ? 0 : 1;
 }
+
+int main() { return ficon::bench::guarded_main("bench_incremental", run_bench); }

@@ -6,19 +6,22 @@
 //
 // After the google-benchmark suite, main() runs the batched-kernel
 // throughput harness and writes BENCH_kernel.json ("ficon-bench-v1"):
-// Theorem-1 term evaluations per second for the per-pair scalar API, the
-// batched scalar kernel and the batched SIMD kernel, at batch sizes
-// 1/8/64/512. FICON_KERNEL_REPEATS picks the timing repeats per row
-// (default 30; the best repeat is reported, which is robust to noisy
-// shared machines); the per-row checksum pins the numerical results so
-// bench_diff catches value drift, not just speed drift.
+// Theorem-1 term evaluations per second for the per-region scalar libm
+// reference theorem1() ("scalar_pair") and the batched ProbKernel
+// ("batch_simd"), at batch sizes 1/8/64/512. FICON_KERNEL_REPEATS picks
+// the timing repeats per row (default 30; the best repeat is reported,
+// which is robust to noisy shared machines); the per-row checksum pins the
+// numerical results so bench_diff catches value drift, not just speed
+// drift.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <iostream>
+#include <iterator>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -32,40 +35,41 @@ constexpr int kG = 400;  // 400x400 fine cells: a 12mm net at 30um pitch
 
 /// Theorem-1 knobs for the throughput rows: exact fallbacks disabled so
 /// every region really runs the approximation.
-ApproxOptions forced_theorem1(SimdMode mode) {
+ApproxOptions forced_theorem1() {
   ApproxOptions options;
   options.small_region_threshold = 0;
   options.narrow_range_threshold = 0;
-  options.simd = mode;
   return options;
 }
 
 void BM_Formula3Exact(benchmark::State& state) {
   const int span = static_cast<int>(state.range(0));
-  const ProbabilityEvaluator evaluator;
+  LogFactorialTable table;
+  const PathProbability exact(table);
   const NetGridShape shape{kG, kG, false};
   const int lo = kG / 2 - span / 2;
   const GridRect region{lo, lo, lo + span - 1, lo + span - 1};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(evaluator.region_probability_exact(shape, region));
+    benchmark::DoNotOptimize(exact.region_probability_exact(shape, region));
   }
   state.SetComplexityN(span);
 }
 
 void BM_Theorem1Approx(benchmark::State& state) {
   const int span = static_cast<int>(state.range(0));
-  const ProbabilityEvaluator evaluator(forced_theorem1(SimdMode::kScalar));
+  const ApproxOptions options = forced_theorem1();
   const int lo = kG / 2 - span / 2;
   const GridRect region{lo, lo, lo + span - 1, lo + span - 1};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(evaluator.theorem1(kG, kG, region));
+    benchmark::DoNotOptimize(theorem1(kG, kG, region, options));
   }
   state.SetComplexityN(span);
 }
 
 void BM_Theorem1BatchSimd(benchmark::State& state) {
   const int batch = static_cast<int>(state.range(0));
-  ProbabilityEvaluator evaluator(forced_theorem1(SimdMode::kSimd));
+  LogFactorialTable table;
+  ProbKernel kernel(PathProbability(table), forced_theorem1());
   const NetGridShape shape{kG, kG, false};
   std::vector<GridRect> regions;
   for (int i = 0; i < batch; ++i) {
@@ -74,15 +78,14 @@ void BM_Theorem1BatchSimd(benchmark::State& state) {
   }
   std::vector<double> out(regions.size());
   for (auto _ : state) {
-    evaluator.region_probability_batch(shape, regions, out);
+    kernel.region_probability_batch(shape, regions, out);
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(state.iterations() * batch);
 }
 
 void BM_BinomialTableLookup(benchmark::State& state) {
-  ProbabilityEvaluator evaluator;
-  LogFactorialTable& table = evaluator.table();
+  LogFactorialTable table;
   table.log_factorial(2 * kG);  // pre-grow
   int n = 100;
   for (auto _ : state) {
@@ -122,38 +125,52 @@ struct KernelRow {
   double checksum = 0.0;
 };
 
-/// Time full evaluations of `regions` through `eval`, which fills `out`;
-/// returns throughput plus the last pass's output sum. Each repeat is
-/// timed separately and the BEST repeat wins: the minimum is the
-/// interference-free estimate on shared machines, where mean-of-repeats
-/// moves with whatever else the container runs.
-template <typename Eval>
-KernelRow time_impl(const std::vector<GridRect>& regions,
-                    std::vector<double>& out, int repeats, Eval&& eval) {
+/// Time full evaluations of `regions` through the scalar reference and
+/// the kernel, which fill `ref_out` / `kernel_out`; returns their rows
+/// (throughput plus the last pass's output sum). The two take turns repeat
+/// by repeat, so a shift in machine speed mid-run (shared hosts move
+/// between clock states) hits both alike and the gated ratio stays
+/// comparable. Each repeat is timed separately and the BEST repeat wins:
+/// the minimum is the interference-free estimate on shared machines, where
+/// mean-of-repeats moves with whatever else the container runs.
+template <typename RefEval, typename KernelEval>
+std::pair<KernelRow, KernelRow> time_impls(
+    const std::vector<GridRect>& regions, int repeats, RefEval&& ref_eval,
+    const std::vector<double>& ref_out, KernelEval&& kernel_eval,
+    const std::vector<double>& kernel_out) {
   // Equalize the measured work across batch sizes: each timed repeat
   // evaluates ~512 regions regardless of how many fit in one call.
   const int calls = std::max<int>(1, 512 / static_cast<int>(regions.size()));
-  eval();  // warmup: log-factorial caches, scratch growth
-  double best_ms = std::numeric_limits<double>::infinity();
-  for (int r = 0; r < repeats; ++r) {
+  ref_eval();  // warmup: log-factorial caches, scratch growth
+  kernel_eval();
+  double best_ref_ms = std::numeric_limits<double>::infinity();
+  double best_kernel_ms = best_ref_ms;
+  const auto timed = [calls](auto& eval) {
     Stopwatch sw;
     for (int c = 0; c < calls; ++c) eval();
-    best_ms = std::min(best_ms, sw.milliseconds());
+    return sw.milliseconds();
+  };
+  for (int r = 0; r < repeats; ++r) {
+    best_ref_ms = std::min(best_ref_ms, timed(ref_eval));
+    best_kernel_ms = std::min(best_kernel_ms, timed(kernel_eval));
   }
-  KernelRow row;
-  row.regions_per_s =
-      static_cast<double>(regions.size()) * calls / (best_ms / 1e3);
-  for (const double v : out) row.checksum += v;
-  return row;
+  const auto row = [&](double best_ms, const std::vector<double>& out) {
+    KernelRow r;
+    r.regions_per_s =
+        static_cast<double>(regions.size()) * calls / (best_ms / 1e3);
+    for (const double v : out) r.checksum += v;
+    return r;
+  };
+  return {row(best_ref_ms, ref_out), row(best_kernel_ms, kernel_out)};
 }
 
-/// The BENCH_kernel.json harness: per-pair scalar vs batched scalar vs
-/// batched SIMD throughput over the same region workload.
+/// The BENCH_kernel.json harness: the per-region scalar reference vs the
+/// batched kernel over the same region workload.
 int run_kernel_report() {
   const int repeats = env_int("FICON_KERNEL_REPEATS", 30);
   const NetGridShape shape{kG, kG, false};
-  const ProbabilityEvaluator probe;  // defaults, for the meta block only
-  const int panels = probe.options().simpson_panels;
+  const ApproxOptions options = forced_theorem1();
+  const int panels = options.simpson_panels;
   // Every forced-Theorem-1 region integrates two exit edges at panels+1
   // Simpson samples each.
   const double terms_per_region = 2.0 * (panels + 1);
@@ -162,44 +179,55 @@ int run_kernel_report() {
   report.meta("g", static_cast<long long>(kG));
   report.meta("simpson_panels", static_cast<long long>(panels));
   report.meta("repeats", static_cast<long long>(repeats));
-  report.meta("simd_compiled",
-              static_cast<long long>(kernel_simd_compiled() ? 1 : 0));
+  // Always 1: the kernel has only the vector path. Kept because the
+  // committed baseline's meta carries the key and bench_diff flags a
+  // dropped key as schema drift.
+  report.meta("simd_compiled", 1LL);
 
   TextTable table({"impl", "batch", "regions/s", "terms/s", "checksum"});
   double pair_terms_at_64 = 0.0;
   double simd_terms_at_64 = 0.0;
 
-  for (const char* impl : {"scalar_pair", "batch_scalar", "batch_simd"}) {
-    const bool pair = std::string(impl) == "scalar_pair";
-    const SimdMode mode = std::string(impl) == "batch_simd"
-                              ? SimdMode::kSimd
-                              : SimdMode::kScalar;
-    ProbabilityEvaluator evaluator(forced_theorem1(mode));
-    for (const std::size_t batch : {std::size_t{1}, std::size_t{8},
-                                    std::size_t{64}, std::size_t{512}}) {
-      const std::vector<GridRect> regions = make_regions(batch);
-      std::vector<double> out(regions.size());
-      const KernelRow row = time_impl(regions, out, repeats, [&] {
-        if (pair) {
+  LogFactorialTable log_table;
+  ProbKernel kernel(PathProbability(log_table), options);
+  const std::size_t kBatches[] = {1, 8, 64, 512};
+  std::vector<KernelRow> ref_rows, kernel_rows;
+  for (const std::size_t batch : kBatches) {
+    const std::vector<GridRect> regions = make_regions(batch);
+    std::vector<double> ref_out(regions.size());
+    std::vector<double> kernel_out(regions.size());
+    const auto [ref_row, kernel_row] = time_impls(
+        regions, repeats,
+        [&] {
+          // make_regions() keeps every region pin-free, inside the range
+          // and valid for Theorem 1, so the reference needs no policy.
           for (std::size_t i = 0; i < regions.size(); ++i) {
-            out[i] = evaluator.region_probability(shape, regions[i]);
+            ref_out[i] = theorem1(kG, kG, regions[i], options).value();
           }
-        } else {
-          evaluator.region_probability_batch(shape, regions, out);
-        }
-      });
+        },
+        ref_out,
+        [&] { kernel.region_probability_batch(shape, regions, kernel_out); },
+        kernel_out);
+    ref_rows.push_back(ref_row);
+    kernel_rows.push_back(kernel_row);
+  }
+
+  // Rows impl-major, as the committed baseline lists them.
+  for (const char* impl : {"scalar_pair", "batch_simd"}) {
+    const bool pair = std::string(impl) == "scalar_pair";
+    for (std::size_t b = 0; b < std::size(kBatches); ++b) {
+      const KernelRow& row = pair ? ref_rows[b] : kernel_rows[b];
       const double terms_per_s = row.regions_per_s * terms_per_region;
-      if (batch == 64 && pair) pair_terms_at_64 = terms_per_s;
-      if (batch == 64 && mode == SimdMode::kSimd) {
-        simd_terms_at_64 = terms_per_s;
+      if (kBatches[b] == 64) {
+        (pair ? pair_terms_at_64 : simd_terms_at_64) = terms_per_s;
       }
       report.begin_row();
       report.value("impl", std::string(impl));
-      report.value("batch", static_cast<long long>(batch));
+      report.value("batch", static_cast<long long>(kBatches[b]));
       report.value("regions_per_s", row.regions_per_s);
       report.value("terms_per_s", terms_per_s);
       report.value("checksum", row.checksum);
-      table.add_row({impl, std::to_string(batch),
+      table.add_row({impl, std::to_string(kBatches[b]),
                      fmt_fixed(row.regions_per_s, 0),
                      fmt_fixed(terms_per_s, 0),
                      fmt_general(row.checksum, 12)});
@@ -223,10 +251,15 @@ int run_kernel_report() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run_bench(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return run_kernel_report();
+}
+
+int main(int argc, char** argv) {
+  return ficon::bench::guarded_main("bench_micro_formula",
+                                    [&] { return run_bench(argc, argv); });
 }

@@ -33,7 +33,7 @@ double timed_ms(const std::function<void()>& fn, int repeats) {
 
 }  // namespace
 
-int main() {
+int run_bench() {
   const ExperimentConfig config = experiment_config_from_env();
   const std::string circuit = env_string("FICON_PAR_CIRCUIT", "ami49");
   const int repeats = std::max(1, env_int("FICON_PAR_REPEATS", 5));
@@ -97,3 +97,5 @@ int main() {
                       "thread counts\n");
   return deterministic ? 0 : 1;
 }
+
+int main() { return ficon::bench::guarded_main("bench_parallel_scaling", run_bench); }

@@ -16,7 +16,7 @@
 
 using namespace ficon;
 
-int main() {
+int run_bench() {
   const ExperimentConfig config = experiment_config_from_env();
   const std::string circuit = env_string("FICON_T4_CIRCUIT", "ami33");
   const int placements = std::max(6, env_int("FICON_PLACEMENTS", 10));
@@ -88,3 +88,5 @@ int main() {
             << " tracks/cell, monotone min-congestion DP + rip-up\n";
   return 0;
 }
+
+int main() { return ficon::bench::guarded_main("bench_router_validation", run_bench); }

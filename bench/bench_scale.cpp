@@ -73,7 +73,7 @@ Placement shelf_placement(const Netlist& netlist) {
 
 }  // namespace
 
-int main() {
+int run_bench() {
   const std::vector<std::string> tiers = env_list(
       "FICON_SCALE_TIERS", {"n100", "n300", "ami49x20", "ami49x80",
                             "ami49x240"});
@@ -180,3 +180,5 @@ int main() {
             << " tiers; schema ficon-bench-v1)\n";
   return 0;
 }
+
+int main() { return ficon::bench::guarded_main("bench_scale", run_bench); }

@@ -12,7 +12,7 @@
 using namespace ficon;
 using bench::timed_ms;
 
-int main() {
+int run_bench() {
   const int max_modules = env_int("FICON_SCALING_MAX", 200);
   std::cout << "Scaling — IR-grid count and evaluation time vs circuit size "
                "(soft-block ladder)\n";
@@ -56,3 +56,5 @@ int main() {
                "evaluation effort scales with it)\n";
   return 0;
 }
+
+int main() { return ficon::bench::guarded_main("bench_scaling", run_bench); }

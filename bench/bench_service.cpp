@@ -76,7 +76,7 @@ service::Request anneal_request(std::uint64_t seed, double effort) {
 
 }  // namespace
 
-int main() {
+int run_bench() {
   const int evaluates = std::max(1, env_int("FICON_SERVICE_REQUESTS", 64));
   const int anneals = std::max(1, env_int("FICON_SERVICE_ANNEALS", 8));
   const auto seed = static_cast<std::uint64_t>(env_int("FICON_SEED", 7));
@@ -193,3 +193,5 @@ int main() {
             << " rows; schema ficon-bench-v1)\n";
   return 0;
 }
+
+int main() { return ficon::bench::guarded_main("bench_service", run_bench); }

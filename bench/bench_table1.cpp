@@ -9,7 +9,7 @@
 
 using namespace ficon;
 
-int main() {
+int run_bench() {
   const ExperimentConfig config = experiment_config_from_env();
   std::cout << "Table 1 — results with area+wirelength objective "
                "(fixed-size-grid judging at "
@@ -43,3 +43,5 @@ int main() {
                "judging congestion highest for ami33)\n";
   return 0;
 }
+
+int main() { return ficon::bench::guarded_main("bench_table1", run_bench); }

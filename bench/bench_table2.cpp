@@ -8,7 +8,7 @@
 
 using namespace ficon;
 
-int main() {
+int run_bench() {
   obs::set_thread_label("main");
   const ExperimentConfig config = experiment_config_from_env();
   std::cout << "Table 2 — results with the Irregular-Grid model in the "
@@ -51,3 +51,5 @@ int main() {
   obs::emit_env_trace(std::cout, "bench_table2");
   return 0;
 }
+
+int main() { return ficon::bench::guarded_main("bench_table2", run_bench); }

@@ -15,7 +15,7 @@ double improvement(double base, double with) {
 }
 }  // namespace
 
-int main() {
+int run_bench() {
   const ExperimentConfig config = experiment_config_from_env();
   std::cout << "Table 3 — improvement of the congestion-driven floorplanner "
                "over the area+wire baseline (positive % = better)\n";
@@ -63,3 +63,5 @@ int main() {
             << " % (paper Table 3: +2% .. +20% on averages)\n";
   return 0;
 }
+
+int main() { return ficon::bench::guarded_main("bench_table3", run_bench); }

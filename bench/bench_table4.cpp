@@ -9,7 +9,7 @@
 
 using namespace ficon;
 
-int main() {
+int run_bench() {
   const ExperimentConfig config = experiment_config_from_env();
   const std::string circuit = env_string("FICON_T4_CIRCUIT", "ami33");
   std::cout << "Table 4 — congestion-only optimization with the "
@@ -56,3 +56,5 @@ int main() {
                "their testbed; compare against Table 5's fixed-grid runs)\n";
   return 0;
 }
+
+int main() { return ficon::bench::guarded_main("bench_table4", run_bench); }

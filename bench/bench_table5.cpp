@@ -8,7 +8,7 @@
 
 using namespace ficon;
 
-int main() {
+int run_bench() {
   const ExperimentConfig config = experiment_config_from_env();
   const std::string circuit = env_string("FICON_T4_CIRCUIT", "ami33");
   std::cout << "Table 5 — congestion-only optimization with the fixed-size-"
@@ -56,3 +56,5 @@ int main() {
                "better by 8.79% / 4.59% on averages)\n";
   return 0;
 }
+
+int main() { return ficon::bench::guarded_main("bench_table5", run_bench); }

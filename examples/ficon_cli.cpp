@@ -51,6 +51,7 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -315,7 +316,7 @@ int run_client(const Cli& cli) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int cli_main(int argc, char** argv) {
   const Cli cli = parse_cli(argc, argv);
   if (!cli.connect.empty()) return run_client(cli);
 
@@ -453,4 +454,16 @@ int main(int argc, char** argv) {
     ficon::obs::emit_env_trace(std::cout, "ficon_cli");
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  // A malformed numeric env knob (FICON_THREADS=abc) throws
+  // std::invalid_argument naming the knob; report it like any other bad
+  // input instead of ending in std::terminate.
+  try {
+    return cli_main(argc, argv);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "ficon_cli: " << e.what() << "\n";
+    return 2;
+  }
 }

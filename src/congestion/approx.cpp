@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "congestion/prob_kernel.hpp"
 #include "numeric/normal.hpp"
-#include "util/check.hpp"
 
 namespace ficon {
 namespace {
@@ -16,8 +14,6 @@ double clamp01(double v) { return std::clamp(v, 0.0, 1.0); }
 /// if any sample is invalid.
 template <typename F>
 std::optional<double> simpson_optional(F&& f, double a, double b, int panels) {
-  FICON_REQUIRE(panels >= 2 && panels % 2 == 0,
-                "Simpson's rule needs an even panel count >= 2");
   if (!(a < b)) return 0.0;
   const double h = (b - a) / panels;
   double sum = 0.0;
@@ -33,28 +29,28 @@ std::optional<double> simpson_optional(F&& f, double a, double b, int panels) {
 
 }  // namespace
 
-double ApproxRegionProbability::top_exit_term_exact(int g1, int g2, int x,
-                                                    int y2) const {
+double top_exit_term_exact(const PathProbability& exact, int g1, int g2,
+                           int x, int y2) {
   const NetGridShape s{g1, g2, false};
   if (y2 + 1 > g2 - 1) return 0.0;  // no cell above: crossing impossible
-  const auto ta = exact_.log_ta(s, x, y2);
-  const auto tb = exact_.log_tb(s, x, y2 + 1);
+  const auto ta = exact.log_ta(s, x, y2);
+  const auto tb = exact.log_tb(s, x, y2 + 1);
   if (!ta || !tb) return 0.0;
-  return std::exp(*ta + *tb - exact_.log_total(s));
+  return std::exp(*ta + *tb - exact.log_total(s));
 }
 
-double ApproxRegionProbability::right_exit_term_exact(int g1, int g2, int x2,
-                                                      int y) const {
+double right_exit_term_exact(const PathProbability& exact, int g1, int g2,
+                             int x2, int y) {
   const NetGridShape s{g1, g2, false};
   if (x2 + 1 > g1 - 1) return 0.0;
-  const auto ta = exact_.log_ta(s, x2, y);
-  const auto tb = exact_.log_tb(s, x2 + 1, y);
+  const auto ta = exact.log_ta(s, x2, y);
+  const auto tb = exact.log_tb(s, x2 + 1, y);
   if (!ta || !tb) return 0.0;
-  return std::exp(*ta + *tb - exact_.log_total(s));
+  return std::exp(*ta + *tb - exact.log_total(s));
 }
 
-std::optional<double> ApproxRegionProbability::top_exit_term_approx(
-    int g1, int g2, double x, int y2) const {
+std::optional<double> top_exit_term_approx(int g1, int g2, double x,
+                                           int y2) {
   // The binomial/normal chain needs R = g1+g2-3 >= 1 and R-1 = g1+g2-4 >= 1.
   if (g1 + g2 < 5) return std::nullopt;
   const double R = g1 + g2 - 3;
@@ -68,8 +64,8 @@ std::optional<double> ApproxRegionProbability::top_exit_term_approx(
   return coeff * normal_pdf(x, mu, std::sqrt(var));
 }
 
-std::optional<double> ApproxRegionProbability::right_exit_term_approx(
-    int g1, int g2, int x2, double y) const {
+std::optional<double> right_exit_term_approx(int g1, int g2, int x2,
+                                             double y) {
   if (g1 + g2 < 5) return std::nullopt;
   const double R = g1 + g2 - 3;
   const double p = (x2 + y) / R;
@@ -82,9 +78,10 @@ std::optional<double> ApproxRegionProbability::right_exit_term_approx(
   return coeff * normal_pdf(y, mu, std::sqrt(var));
 }
 
-std::optional<double> ApproxRegionProbability::theorem1(
-    int g1, int g2, const GridRect& region) const {
-  const double delta = options_.continuity_correction ? 0.5 : 0.0;
+std::optional<double> theorem1(int g1, int g2, const GridRect& region,
+                               const ApproxOptions& options) {
+  options.validate();
+  const double delta = options.continuity_correction ? 0.5 : 0.0;
   double prob = 0.0;
   if (region.yhi < g2 - 1) {
     // A zero-width span integrated over the literal [x1, x2] = [x, x] would
@@ -94,7 +91,7 @@ std::optional<double> ApproxRegionProbability::theorem1(
     const double dx = region.xlo == region.xhi ? 0.5 : delta;
     const auto top = simpson_optional(
         [&](double x) { return top_exit_term_approx(g1, g2, x, region.yhi); },
-        region.xlo - dx, region.xhi + dx, options_.simpson_panels);
+        region.xlo - dx, region.xhi + dx, options.simpson_panels);
     if (!top) return std::nullopt;
     prob += *top;
   }
@@ -102,26 +99,11 @@ std::optional<double> ApproxRegionProbability::theorem1(
     const double dy = region.ylo == region.yhi ? 0.5 : delta;
     const auto right = simpson_optional(
         [&](double y) { return right_exit_term_approx(g1, g2, region.xhi, y); },
-        region.ylo - dy, region.yhi + dy, options_.simpson_panels);
+        region.ylo - dy, region.yhi + dy, options.simpson_panels);
     if (!right) return std::nullopt;
     prob += *right;
   }
   return clamp01(prob);
-}
-
-double ApproxRegionProbability::region_probability(
-    const NetGridShape& s, const GridRect& region) const {
-  // Batch-of-one over the kernel: the policy (clamp, pin rule, structural
-  // certainty, exact fallbacks) lives in ProbKernel::region_probability_batch
-  // since the batched-kernel redesign. The kernel is a cheap handle (two
-  // copies of this evaluator's own members plus empty scratch), so
-  // occasional per-pair callers pay no measurable setup; hot callers go
-  // through the batch API directly.
-  ProbKernel kernel(exact_, options_);
-  double out = 0.0;
-  kernel.region_probability_batch(s, std::span<const GridRect>(&region, 1),
-                                  std::span<double>(&out, 1));
-  return out;
 }
 
 }  // namespace ficon

@@ -20,7 +20,6 @@
 
 #include "congestion/path_prob.hpp"
 #include "geom/rect.hpp"
-#include "numeric/kernel.hpp"
 #include "util/check.hpp"
 
 namespace ficon {
@@ -48,18 +47,10 @@ struct ApproxOptions {
   /// support there (deviations up to ~0.12 on e.g. 6x40 ranges), and the
   /// exact sums are bounded by the thin dimension anyway.
   int narrow_range_threshold = 12;
-  /// Which Theorem 1 implementation evaluates the approximation: the scalar
-  /// libm reference, the batched/vectorized kernel, or (default) whatever
-  /// the FICON_SIMD runtime knob resolves to. Fallback decisions (which
-  /// regions drop to exact Formula 3) are identical in both; approximated
-  /// values agree to the ulp-level bound pinned in prob_property_test.
-  SimdMode simd = SimdMode::kAuto;
-
-  /// Explicit construction-time validation: every evaluator that consumes
-  /// these options (ApproxRegionProbability, ProbKernel,
-  /// IrregularGridModel, ProbabilityEvaluator) calls this and surfaces a
-  /// std::invalid_argument instead of silently misbehaving on odd Simpson
-  /// panel counts or negative thresholds.
+  /// Explicit construction-time validation: every consumer of these
+  /// options (ProbKernel, IrregularGridModel, theorem1()) calls this and
+  /// surfaces a std::invalid_argument instead of silently misbehaving on
+  /// odd Simpson panel counts or negative thresholds.
   void validate() const {
     FICON_REQUIRE(simpson_panels >= 2 && simpson_panels % 2 == 0,
                   "ApproxOptions: simpson_panels must be even and >= 2");
@@ -72,61 +63,38 @@ struct ApproxOptions {
   }
 };
 
-/// Theorem 1 evaluator — the scalar reference implementation.
-///
-/// INTERNAL: outside src/congestion/ and the tests, go through the
-/// ProbabilityEvaluator facade (congestion/prob_eval.hpp) or the batched
-/// ProbKernel (congestion/prob_kernel.hpp); ficon_lint rule F008 enforces
-/// the include boundary. The exposed per-term functions exist so that the
-/// Figure 8 precision experiment (exact-vs-approximated curves) and the
-/// tests can probe the integrand pointwise.
-class ApproxRegionProbability {
- public:
-  ApproxRegionProbability(PathProbability exact, ApproxOptions options = {})
-      : exact_(exact), options_(options) {
-    options_.validate();
-  }
+// The scalar libm reference for Theorem 1. The production engine is the
+// batched ProbKernel (congestion/prob_kernel.hpp); these functions are the
+// reference its vector path is tested against, and the pointwise probes the
+// Figure 8 precision experiment plots (exact vs approximated term curves).
 
-  /// Exact value of Function (1): the normalized top-edge exit term
-  ///   Ta(x, y2) * Tb(x, y2+1) / Ta(g1-1, g2-1)
-  /// in the type I frame. Zero when the crossing is out of range.
-  double top_exit_term_exact(int g1, int g2, int x, int y2) const;
+/// Exact value of Function (1): the normalized top-edge exit term
+///   Ta(x, y2) * Tb(x, y2+1) / Ta(g1-1, g2-1)
+/// in the type I frame. Zero when the crossing is out of range.
+double top_exit_term_exact(const PathProbability& exact, int g1, int g2,
+                           int x, int y2);
 
-  /// Normal-approximated Function (1) at (possibly fractional) x.
-  /// nullopt where the approximation is invalid (mu ratio outside (0,1)
-  /// or non-positive variance) — the gray cells of Figure 7.
-  std::optional<double> top_exit_term_approx(int g1, int g2, double x,
-                                             int y2) const;
+/// Normal-approximated Function (1) at (possibly fractional) x.
+/// nullopt where the approximation is invalid (mu ratio outside (0,1)
+/// or non-positive variance) — the gray cells of Figure 7.
+std::optional<double> top_exit_term_approx(int g1, int g2, double x, int y2);
 
-  /// Exact value of Function (2): the normalized right-edge exit term
-  ///   Ta(x2, y) * Tb(x2+1, y) / Ta(g1-1, g2-1), type I frame.
-  double right_exit_term_exact(int g1, int g2, int x2, int y) const;
+/// Exact value of Function (2): the normalized right-edge exit term
+///   Ta(x2, y) * Tb(x2+1, y) / Ta(g1-1, g2-1), type I frame.
+double right_exit_term_exact(const PathProbability& exact, int g1, int g2,
+                             int x2, int y);
 
-  /// Normal-approximated Function (2) at (possibly fractional) y.
-  std::optional<double> right_exit_term_approx(int g1, int g2, int x2,
-                                               double y) const;
+/// Normal-approximated Function (2) at (possibly fractional) y.
+std::optional<double> right_exit_term_approx(int g1, int g2, int x2,
+                                             double y);
 
-  /// Theorem 1 as written: approximate crossing probability for a region
-  /// in the type I frame. Returns nullopt if any Simpson sample hits an
-  /// invalid integrand (caller falls back to exact).
-  std::optional<double> theorem1(int g1, int g2, const GridRect& region) const;
-
-  /// Full policy of the paper's algorithm (steps 3.1/3.2 + section 4.5):
-  ///   - region covers a pin  -> probability 1,
-  ///   - tiny range           -> exact Formula 3,
-  ///   - otherwise Theorem 1, with exact fallback on invalid samples.
-  /// Handles both net types (type II via the y-mirror) and degenerate
-  /// ranges. Since the batched-kernel redesign this is a thin wrapper over
-  /// ProbKernel::region_probability_batch with a batch of one; the
-  /// IrregularGridModel calls the batch form directly.
-  double region_probability(const NetGridShape& s, const GridRect& region) const;
-
-  const ApproxOptions& options() const { return options_; }
-  const PathProbability& exact() const { return exact_; }
-
- private:
-  PathProbability exact_;
-  ApproxOptions options_;
-};
+/// Theorem 1 as written, on libm: approximate crossing probability for a
+/// region in the type I frame, integrated per `options` (continuity
+/// correction, Simpson panels; the fallback thresholds are policy and do
+/// not apply here). Returns nullopt if any Simpson sample hits an invalid
+/// integrand (the policy then falls back to exact Formula 3). Throws
+/// std::invalid_argument on invalid options.
+std::optional<double> theorem1(int g1, int g2, const GridRect& region,
+                               const ApproxOptions& options = {});
 
 }  // namespace ficon

@@ -2,7 +2,7 @@
 
 #include <cmath>
 
-#include "congestion/prob_kernel.hpp"
+#include "congestion/path_prob.hpp"
 #include "obs/trace.hpp"
 #include "util/thread_pool.hpp"
 
@@ -13,7 +13,8 @@ namespace {
 /// Accumulate one net's cell-crossing probabilities (Formula 2) into a
 /// partial grid (row-major like CongestionMap::values()).
 void accumulate_net(const TwoPinNet& net, const GridSpec& grid,
-                    ProbKernel& kernel, std::vector<double>& flow) {
+                    const PathProbability& exact, std::vector<double>& row,
+                    std::vector<double>& flow) {
   const auto add = [&](int cx, int cy, double p) {
     flow[static_cast<std::size_t>(cy) * static_cast<std::size_t>(grid.nx()) +
          static_cast<std::size_t>(cx)] += p;
@@ -34,16 +35,14 @@ void accumulate_net(const TwoPinNet& net, const GridSpec& grid,
   }
 
   // Work in the canonical type I frame (source cell (0,0), sink
-  // (g1-1,g2-1)); a type II net is accumulated with its y mirrored. The
-  // kernel advances P(x,y) along each row by the exact multiplicative
-  // recurrence (multiplication-only inner loop — this is what makes the
-  // 10 um judging model affordable on mm-scale chips) and hands back one
+  // (g1-1,g2-1)); a type II net is accumulated with its y mirrored, one
   // contiguous row of Formula 2 values at a time.
   const NetGridShape canonical{g1, g2, false};
-  kernel.for_each_cell_row(canonical, [&](int ly, std::span<const double> row) {
+  exact.for_each_cell_row(canonical, row, [&](int ly,
+                                              std::span<const double> probs) {
     const int gy = s.origin.y + (s.shape.type2 ? (g2 - 1 - ly) : ly);
     for (int lx = 0; lx < g1; ++lx) {
-      add(s.origin.x + lx, gy, row[static_cast<std::size_t>(lx)]);
+      add(s.origin.x + lx, gy, probs[static_cast<std::size_t>(lx)]);
     }
   });
 }
@@ -67,12 +66,13 @@ CongestionMap FixedGridModel::evaluate(std::span<const TwoPinNet> nets,
   std::vector<std::vector<double>> partial(static_cast<std::size_t>(blocks));
   ThreadPool::global().run(blocks, [&](int b) {
     thread_local LogFactorialTable table;  // race-free per-thread cache
-    ProbKernel kernel(PathProbability(table), {});
+    const PathProbability exact(table);
+    std::vector<double> row;
     std::vector<double>& flow = partial[static_cast<std::size_t>(b)];
     flow.assign(cells, 0.0);
     const BlockRange range = block_range(nets.size(), blocks, b);
     for (std::size_t i = range.begin; i < range.end; ++i) {
-      accumulate_net(nets[i], grid, kernel, flow);
+      accumulate_net(nets[i], grid, exact, row, flow);
     }
   });
 

@@ -8,6 +8,7 @@
 //
 // This module computes, exactly and in log space:
 //   * Formula 1/2 — the probability that the net passes through one cell,
+//     per cell or row by row for a whole range (the fixed-grid model),
 //   * Formula 3  — the probability that the net passes through a
 //     rectangular sub-region (an IR-grid), via exit-edge counting,
 //   * a brute-force DP oracle used to validate both.
@@ -17,7 +18,10 @@
 // kept as independent references in the test suite.
 #pragma once
 
+#include <cmath>
 #include <optional>
+#include <span>
+#include <vector>
 
 #include "geom/rect.hpp"
 #include "numeric/factorial.hpp"
@@ -77,6 +81,38 @@ class PathProbability {
 
   /// Oracle for cell_probability via path-count DP (no binomials).
   double cell_probability_oracle(const NetGridShape& s, int x, int y) const;
+
+  /// Formula 2 for a whole non-degenerate type I range, row by row:
+  /// `emit(ly, row)` receives each fine row's g1 cell probabilities,
+  /// advanced along the row by the exact multiplicative recurrence
+  /// (multiplication-only inner loop — what makes the 10 um judging model
+  /// affordable on mm-scale chips). `row` is caller scratch, resized to g1;
+  /// the span handed to `emit` views it.
+  template <typename RowFn>
+  void for_each_cell_row(const NetGridShape& s, std::vector<double>& row,
+                         RowFn&& emit) const {
+    const int g1 = s.g1;
+    const int g2 = s.g2;
+    row.resize(static_cast<std::size_t>(g1));
+    const double log_total_s = log_total(s);
+    for (int ly = 0; ly < g2; ++ly) {
+      // P(0, ly) = Tb(0, ly) / Total, then advance along the row by the
+      // exact ratio P(x+1,y)/P(x,y) = (x+y+1)/(x+1) * a/(a+b).
+      double p = std::exp(
+          table_->log_choose(g1 - 1 + g2 - 1 - ly, g2 - 1 - ly) - log_total_s);
+      for (int lx = 0; lx < g1; ++lx) {
+        row[static_cast<std::size_t>(lx)] = p;
+        if (lx < g1 - 1) {
+          const double a = static_cast<double>(g1 - 1 - lx);
+          const double b = static_cast<double>(g2 - 1 - ly);
+          p *= (static_cast<double>(lx + ly) + 1.0) /
+               (static_cast<double>(lx) + 1.0) * a / (a + b);
+        }
+      }
+      emit(ly, std::span<const double>(row.data(),
+                                       static_cast<std::size_t>(g1)));
+    }
+  }
 
   LogFactorialTable& table() const { return *table_; }
 

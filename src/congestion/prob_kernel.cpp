@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "numeric/kernel.hpp"
 #include "obs/trace.hpp"
 #include "util/check.hpp"
 
@@ -20,9 +21,8 @@ double clamp01(double v) { return std::clamp(v, 0.0, 1.0); }
 // marker survives). p, var and the validity predicate are IDENTICAL IEEE
 // expressions to the scalar probe (top_exit_term_approx), bit for bit, so
 // which samples are invalid (and hence which regions fall back to exact
-// Formula 3) never depends on the mode. Only the pdf evaluation differs.
-// Both the public sampler and the fused Theorem 1 path below go through
-// this one helper so the expressions cannot drift apart.
+// Formula 3) is the same as on the libm reference. Only the pdf
+// evaluation differs.
 void setup_top_exit(int g1, int g2, int y2, std::span<const double> xs,
                     std::span<double> mus, std::span<double> inv_sigmas) {
   const double R = g1 + g2 - 3;
@@ -65,54 +65,8 @@ double simpson_weighted_sum(const double* t, std::size_t n) {
 
 }  // namespace
 
-void ProbKernel::eval_top_exit_terms(int g1, int g2, int y2,
-                                     std::span<const double> xs,
-                                     std::span<double> out) {
-  FICON_REQUIRE(xs.size() == out.size(),
-                "eval_top_exit_terms: span size mismatch");
-  if (!simd_) {
-    for (std::size_t i = 0; i < xs.size(); ++i) {
-      const auto v = scalar_.top_exit_term_approx(g1, g2, xs[i], y2);
-      out[i] = v ? *v : kNaN;
-    }
-    return;
-  }
-  if (g1 + g2 < 5) {
-    std::fill(out.begin(), out.end(), kNaN);
-    return;
-  }
-  const double coeff = static_cast<double>(g2 - 1) / (g1 + g2 - 2);
-  mus_.resize(xs.size());
-  inv_sigmas_.resize(xs.size());
-  setup_top_exit(g1, g2, y2, xs, mus_, inv_sigmas_);
-  kernel::normal_pdf_batch(xs, mus_, inv_sigmas_, coeff, out);
-}
-
-void ProbKernel::eval_right_exit_terms(int g1, int g2, int x2,
-                                       std::span<const double> ys,
-                                       std::span<double> out) {
-  FICON_REQUIRE(ys.size() == out.size(),
-                "eval_right_exit_terms: span size mismatch");
-  if (!simd_) {
-    for (std::size_t i = 0; i < ys.size(); ++i) {
-      const auto v = scalar_.right_exit_term_approx(g1, g2, x2, ys[i]);
-      out[i] = v ? *v : kNaN;
-    }
-    return;
-  }
-  if (g1 + g2 < 5) {
-    std::fill(out.begin(), out.end(), kNaN);
-    return;
-  }
-  const double coeff = static_cast<double>(g1 - 1) / (g1 + g2 - 2);
-  mus_.resize(ys.size());
-  inv_sigmas_.resize(ys.size());
-  setup_right_exit(g1, g2, x2, ys, mus_, inv_sigmas_);
-  kernel::normal_pdf_batch(ys, mus_, inv_sigmas_, coeff, out);
-}
-
-std::optional<double> ProbKernel::theorem1_simd(int g1, int g2,
-                                                const GridRect& region) {
+std::optional<double> ProbKernel::theorem1_batched(int g1, int g2,
+                                                   const GridRect& region) {
   const double delta = options_.continuity_correction ? 0.5 : 0.0;
   const int panels = options_.simpson_panels;
   const std::size_t n = static_cast<std::size_t>(panels) + 1;
@@ -123,9 +77,9 @@ std::optional<double> ProbKernel::theorem1_simd(int g1, int g2,
   // comparable to the math itself. The per-edge coefficient is hoisted
   // from the integrand to the integral (terms are plain normal pdfs here,
   // scale 1), which is the algebraically identical sum in a slightly
-  // different rounding order — covered by the 1e-12 equivalence bound, not
-  // the bit-identity contract (that one applies to validity decisions,
-  // which setup_*_exit keeps exact).
+  // different rounding order — covered by the 1e-12 equivalence bound
+  // against the libm reference, not bit identity (that one applies to
+  // validity decisions, which setup_*_exit keeps exact).
   struct EdgePlan {
     bool active = false;
     std::size_t off = 0;
@@ -134,11 +88,12 @@ std::optional<double> ProbKernel::theorem1_simd(int g1, int g2,
   EdgePlan top, right;
   std::size_t total = 0;
   if (region.yhi < g2 - 1) {
-    // Zero-width spans force the +-1/2 widening (see the scalar theorem1).
+    // Zero-width spans force the +-1/2 widening (see the reference
+    // theorem1() in approx.cpp).
     const double dx = region.xlo == region.xhi ? 0.5 : delta;
     const double a = region.xlo - dx;
     const double b = region.xhi + dx;
-    if (a < b) {  // degenerate intervals contribute 0, as in the scalar
+    if (a < b) {  // degenerate intervals contribute 0, as in the reference
       top = {true, total, a, (b - a) / panels,
              static_cast<double>(g2 - 1) / (g1 + g2 - 2)};
       total += n;
@@ -155,7 +110,7 @@ std::optional<double> ProbKernel::theorem1_simd(int g1, int g2,
     }
   }
   if (total == 0) return clamp01(0.0);
-  // Tiny ranges make every sample invalid (the scalar probes return
+  // Tiny ranges make every sample invalid (the reference probes return
   // nullopt unconditionally), so the whole region falls back to exact.
   if (g1 + g2 < 5) return std::nullopt;
 
@@ -190,7 +145,7 @@ std::optional<double> ProbKernel::theorem1_simd(int g1, int g2,
     if (!e->active) continue;
     const double sum = simpson_weighted_sum(terms_.data() + e->off, n);
     // Any invalid sample surfaced as NaN; the weights are positive, so one
-    // NaN poisons the sum — exactly the scalar path's nullopt condition.
+    // NaN poisons the sum — exactly the reference's nullopt condition.
     if (std::isnan(sum)) return std::nullopt;
     prob += e->coeff * (sum * e->h / 3.0);
   }
@@ -232,8 +187,7 @@ double ProbKernel::region_probability_one(const NetGridShape& s,
     return exact_.region_probability_exact(s, r);
   }
   const std::optional<double> approx =
-      simd_ ? theorem1_simd(s.g1, s.g2, canonical)
-            : scalar_.theorem1(s.g1, s.g2, canonical);
+      theorem1_batched(s.g1, s.g2, canonical);
   if (approx) return *approx;
   obs::count(obs::Counter::kIrTheorem1ExactFallbacks);
   return exact_.region_probability_exact(s, r);
@@ -258,19 +212,6 @@ void ProbKernel::region_probability_exact_batch(
     out[i] = exact_.region_covers_pin(s, regions[i])
                  ? 1.0
                  : exact_.region_probability_exact(s, regions[i]);
-  }
-}
-
-void ProbKernel::theorem1_batch(int g1, int g2,
-                                std::span<const GridRect> regions,
-                                std::span<double> out) {
-  FICON_REQUIRE(regions.size() == out.size(),
-                "theorem1_batch: span size mismatch");
-  for (std::size_t i = 0; i < regions.size(); ++i) {
-    const std::optional<double> v =
-        simd_ ? theorem1_simd(g1, g2, regions[i])
-              : scalar_.theorem1(g1, g2, regions[i]);
-    out[i] = v ? *v : kNaN;
   }
 }
 

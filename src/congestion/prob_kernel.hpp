@@ -1,42 +1,25 @@
-// Batched probability kernel: the contiguous-array evaluation surface for
-// the Theorem 1 / Formula 3 hot loops (ROADMAP item 3).
-//
-// The historical API scored one (net, IR-cell) pair per call through
-// scalar std::optional<double> methods. This kernel evaluates one net
-// against MANY cells per call over flat arrays:
+// Batched probability kernel: the Theorem 1 engine. It scores one net
+// against MANY regions per call over flat arrays:
 //
 //   region_probability_batch()  — the paper's full per-region policy
 //                                 (pin rule, structural certainty, exact
 //                                 fallbacks, Theorem 1) for a batch of
 //                                 rects; what IrregularGridModel's
 //                                 kTheorem1 strategy runs per net,
-//   region_probability_exact_batch() — the kExactPerRegion mirror,
-//   theorem1_batch()            — raw Theorem 1 (NaN where invalid),
-//   eval_top_exit_terms() /
-//   eval_right_exit_terms()     — Function (1)/(2) integrand samples over
-//                                 an array of abscissae (NaN = the section
-//                                 4.5 invalid cells),
-//   for_each_cell_row()         — the fixed-grid mirror: Formula 2 for one
-//                                 net row by row via the multiplicative
-//                                 recurrence (what FixedGridModel runs).
+//   region_probability_exact_batch() — the kExactPerRegion mirror.
 //
-// Two implementations sit behind ApproxOptions::simd (see
-// numeric/kernel.hpp for the dispatch rules):
-//   * scalar — calls the ApproxRegionProbability reference per element;
-//     bit-identical to the historical per-pair path, including obs
-//     counters and fallback decisions;
-//   * simd   — evaluates all Simpson samples of an integral through the
-//     batched exp kernel. Fallback decisions (validity of samples) are
-//     computed with the same IEEE predicates and remain bit-identical;
-//     approximated values agree with the scalar path to the ulp-level
-//     bound asserted in prob_property_test.
+// Theorem 1 itself runs every Simpson sample of a region through the
+// batched normal-pdf kernel (numeric/kernel.hpp). Which samples are invalid,
+// and hence which regions fall back to exact Formula 3, is decided with
+// the same IEEE predicates as the scalar libm reference
+// (congestion/approx.hpp) and is bit-identical to it; approximated values
+// agree with it to the bound asserted in prob_property_test.
 //
 // A ProbKernel owns per-call scratch, so it is cheap to keep per
 // block-scorer (as IrregularGridModel does) and safe to use from one
 // thread at a time, like the rest of the scoring stack.
 #pragma once
 
-#include <cmath>
 #include <optional>
 #include <span>
 #include <vector>
@@ -44,7 +27,6 @@
 #include "congestion/approx.hpp"
 #include "congestion/path_prob.hpp"
 #include "geom/rect.hpp"
-#include "numeric/kernel.hpp"
 
 namespace ficon {
 
@@ -54,15 +36,13 @@ class ProbKernel {
   /// table; the table must outlive the kernel). Throws std::invalid_argument
   /// on invalid options (ApproxOptions::validate()).
   explicit ProbKernel(const PathProbability& exact, ApproxOptions options = {})
-      : exact_(exact), scalar_(exact, options), options_(options),
-        simd_(kernel_simd_active(options.simd)) {}
-
-  /// True when this kernel resolved to the batched/vectorized path.
-  bool simd() const { return simd_; }
+      : exact_(exact), options_(options) {
+    options_.validate();
+  }
 
   /// The paper's full per-region policy for a batch of regions of one net:
   /// out[i] = crossing probability of regions[i] (raw, possibly
-  /// out-of-range rects are clamped exactly like the per-pair API).
+  /// out-of-range rects are clamped to the routing range first).
   /// Requires regions.size() == out.size().
   void region_probability_batch(const NetGridShape& s,
                                 std::span<const GridRect> regions,
@@ -74,75 +54,23 @@ class ProbKernel {
                                       std::span<const GridRect> regions,
                                       std::span<double> out);
 
-  /// Raw Theorem 1 in the canonical type I frame for a batch of regions;
-  /// out[i] = NaN where any Simpson sample is invalid (the caller decides
-  /// the fallback). No clamping, no pin rule — callers pass in-range rects.
-  void theorem1_batch(int g1, int g2, std::span<const GridRect> regions,
-                      std::span<double> out);
-
-  /// Function (1) samples: out[i] = normal-approximated top-exit term at
-  /// x = xs[i] for exit row y2 (type I frame); NaN where the approximation
-  /// is invalid (exactly where the scalar probe returns nullopt).
-  void eval_top_exit_terms(int g1, int g2, int y2, std::span<const double> xs,
-                           std::span<double> out);
-
-  /// Function (2) samples: the right-exit mirror at y = ys[i], exit
-  /// column x2.
-  void eval_right_exit_terms(int g1, int g2, int x2,
-                             std::span<const double> ys,
-                             std::span<double> out);
-
-  /// Fixed-grid mirror: Formula 2 for one non-degenerate net, emitted row
-  /// by row in the canonical type I frame. `emit(ly, row)` receives each
-  /// fine row's g1 cell probabilities (the span is kernel scratch, valid
-  /// only during the call). Bit-identical to the historical inline
-  /// recurrence in fixed_grid.cpp.
-  template <typename RowFn>
-  void for_each_cell_row(const NetGridShape& s, RowFn&& emit) {
-    const int g1 = s.g1;
-    const int g2 = s.g2;
-    LogFactorialTable& table = exact_.table();
-    row_.resize(static_cast<std::size_t>(g1));
-    const double log_total = exact_.log_total(s);
-    for (int ly = 0; ly < g2; ++ly) {
-      // P(0, ly) = Tb(0, ly) / Total, then advance along the row by the
-      // exact ratio P(x+1,y)/P(x,y) = (x+y+1)/(x+1) * a/(a+b).
-      double p = std::exp(table.log_choose(g1 - 1 + g2 - 1 - ly, g2 - 1 - ly) -
-                          log_total);
-      for (int lx = 0; lx < g1; ++lx) {
-        row_[static_cast<std::size_t>(lx)] = p;
-        if (lx < g1 - 1) {
-          const double a = static_cast<double>(g1 - 1 - lx);
-          const double b = static_cast<double>(g2 - 1 - ly);
-          p *= (static_cast<double>(lx + ly) + 1.0) /
-               (static_cast<double>(lx) + 1.0) * a / (a + b);
-        }
-      }
-      emit(ly, std::span<const double>(row_.data(),
-                                       static_cast<std::size_t>(g1)));
-    }
-  }
-
   const ApproxOptions& options() const { return options_; }
   const PathProbability& exact() const { return exact_; }
 
  private:
-  /// Policy for one region (shared scalar/simd; only the Theorem 1 leaf
-  /// differs between the modes).
+  /// The policy for one region.
   double region_probability_one(const NetGridShape& s, const GridRect& region);
 
-  /// Theorem 1 for one canonical-frame region on the batched kernel path:
-  /// both exit-edge integrals are planned up front and all of the region's
-  /// Simpson samples flow through one setup/sqrt/pdf pipeline; nullopt on
-  /// any invalid sample.
-  std::optional<double> theorem1_simd(int g1, int g2, const GridRect& region);
+  /// Theorem 1 for one canonical-frame region: both exit-edge integrals
+  /// are planned up front and all of the region's Simpson samples flow
+  /// through one setup/sqrt/pdf pipeline; nullopt on any invalid sample.
+  std::optional<double> theorem1_batched(int g1, int g2,
+                                         const GridRect& region);
 
   PathProbability exact_;
-  ApproxRegionProbability scalar_;
   ApproxOptions options_;
-  bool simd_;
-  // Scratch reused across calls (one net's samples / rows at a time).
-  std::vector<double> xs_, mus_, inv_sigmas_, terms_, row_;
+  // Scratch reused across calls (one region's samples at a time).
+  std::vector<double> xs_, mus_, inv_sigmas_, terms_;
 };
 
 }  // namespace ficon

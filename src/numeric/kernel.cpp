@@ -1,27 +1,10 @@
 #include "numeric/kernel.hpp"
 
-#include <algorithm>
-#include <cctype>
-#include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <numbers>
-#include <stdexcept>
-#include <string>
 
-#include "numeric/normal.hpp"
 #include "util/check.hpp"
-#include "util/env.hpp"
-
-// The vector path needs the GCC/Clang vector-extension syntax; FICON_SIMD=ON
-// (CMake) defines FICON_KERNEL_SIMD=1. Everything below is arranged so that
-// turning this off changes performance only, never results: the scalar
-// exp_lane() is the exact per-lane algorithm of exp4().
-#if defined(FICON_KERNEL_SIMD) && FICON_KERNEL_SIMD && \
-    (defined(__GNUC__) || defined(__clang__))
-#define FICON_KERNEL_VECTOR 1
-#else
-#define FICON_KERNEL_VECTOR 0
-#endif
 
 namespace ficon {
 namespace {
@@ -95,8 +78,6 @@ inline V exp_poly(V r) {
   return lo + mid * r4 + top * r8;
 }
 
-#if FICON_KERNEL_VECTOR
-
 // 16-byte lanes: the baseline vector width on every x86-64 (SSE2) and
 // aarch64 (NEON) target, so no -mavx flags or -Wpsabi ABI caveats are
 // needed; the batch loop runs two of these per iteration to keep four
@@ -126,43 +107,7 @@ inline vd2 exp2v(vd2 x) {
   return p * s;
 }
 
-#endif  // FICON_KERNEL_VECTOR
-
 }  // namespace
-
-bool kernel_simd_compiled() { return FICON_KERNEL_VECTOR != 0; }
-
-bool parse_simd_knob(std::string_view value) {
-  std::string v(value);
-  std::transform(v.begin(), v.end(), v.begin(), [](unsigned char c) {
-    return static_cast<char>(std::tolower(c));
-  });
-  if (v == "1" || v == "on" || v == "true") return true;
-  if (v == "0" || v == "off" || v == "false") return false;
-  throw std::invalid_argument("FICON_SIMD: unrecognized value '" +
-                              std::string(value) +
-                              "' (expected 1/on/true or 0/off/false)");
-}
-
-bool kernel_simd_default() {
-  // A bad value throws here on every call (a static whose initializer
-  // throws is retried), so no evaluation runs on a misread knob.
-  static const bool enabled =
-      parse_simd_knob(env_string("FICON_SIMD", "1")) && kernel_simd_compiled();
-  return enabled;
-}
-
-bool kernel_simd_active(SimdMode mode) {
-  switch (mode) {
-    case SimdMode::kScalar:
-      return false;
-    case SimdMode::kSimd:
-      return true;
-    case SimdMode::kAuto:
-    default:
-      return kernel_simd_default();
-  }
-}
 
 namespace kernel {
 
@@ -183,30 +128,6 @@ double exp_lane(double x) noexcept {
   return p * s;
 }
 
-void exp_batch(std::span<const double> xs, std::span<double> out) {
-  FICON_ASSERT(xs.size() == out.size(), "exp_batch: span size mismatch");
-  std::size_t i = 0;
-#if FICON_KERNEL_VECTOR
-  for (; i + 4 <= xs.size(); i += 4) {
-    vd2 a;
-    vd2 b;
-    std::memcpy(&a, xs.data() + i, sizeof a);
-    std::memcpy(&b, xs.data() + i + 2, sizeof b);
-    a = exp2v(a);
-    b = exp2v(b);
-    std::memcpy(out.data() + i, &a, sizeof a);
-    std::memcpy(out.data() + i + 2, &b, sizeof b);
-  }
-  for (; i + 2 <= xs.size(); i += 2) {
-    vd2 v;
-    std::memcpy(&v, xs.data() + i, sizeof v);
-    v = exp2v(v);
-    std::memcpy(out.data() + i, &v, sizeof v);
-  }
-#endif
-  for (; i < xs.size(); ++i) out[i] = exp_lane(xs[i]);
-}
-
 void normal_pdf_batch(std::span<const double> xs, std::span<const double> mus,
                       std::span<const double> inv_sigmas, double scale,
                       std::span<double> out) {
@@ -215,7 +136,6 @@ void normal_pdf_batch(std::span<const double> xs, std::span<const double> mus,
                "normal_pdf_batch: span size mismatch");
   const double c = scale * std::numbers::inv_sqrtpi / std::numbers::sqrt2;
   std::size_t i = 0;
-#if FICON_KERNEL_VECTOR
   // One fused pass: z, the exp argument, the NaN guard and the final
   // scaling all stay in registers instead of round-tripping through
   // intermediate arrays. Two vd2 chains per iteration keep independent
@@ -252,7 +172,6 @@ void normal_pdf_batch(std::span<const double> xs, std::span<const double> mus,
     const vd2 o0 = bcast(c) * s0 * exp2v(a0);
     std::memcpy(out.data() + i, &o0, sizeof o0);
   }
-#endif
   for (; i < xs.size(); ++i) {
     const double z = (xs[i] - mus[i]) * inv_sigmas[i];
     const double a = -0.5 * z * z;
@@ -260,14 +179,6 @@ void normal_pdf_batch(std::span<const double> xs, std::span<const double> mus,
     // algorithm, so the tail is bit-identical to the vector lanes.
     const double arg = a == a ? a : 0.0;
     out[i] = c * inv_sigmas[i] * exp_lane(arg);
-  }
-}
-
-void normal_cdf_batch(std::span<const double> xs, double mu, double inv_sigma,
-                      std::span<double> out) {
-  FICON_ASSERT(xs.size() == out.size(), "normal_cdf_batch: span size mismatch");
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    out[i] = std_normal_cdf((xs[i] - mu) * inv_sigma);
   }
 }
 

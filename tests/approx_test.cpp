@@ -1,11 +1,13 @@
 // Theorem 1 validation: the normal approximation of Formula 3 and the
 // precision rules of section 4.5.
 #include <cmath>
+#include <span>
 #include <stdexcept>
 
 #include <gtest/gtest.h>
 
 #include "congestion/approx.hpp"
+#include "congestion/prob_kernel.hpp"
 #include "numeric/factorial.hpp"
 
 namespace ficon {
@@ -13,9 +15,17 @@ namespace {
 
 class ApproxFixture : public ::testing::Test {
  protected:
+  /// The paper's per-region policy for one region (a batch of one).
+  double region_probability(const NetGridShape& s, const GridRect& region) {
+    double out = 0.0;
+    kernel_.region_probability_batch(s, std::span<const GridRect>(&region, 1),
+                                     std::span<double>(&out, 1));
+    return out;
+  }
+
   LogFactorialTable table_;
   PathProbability exact_{table_};
-  ApproxRegionProbability approx_{exact_};
+  ProbKernel kernel_{exact_};
 };
 
 TEST_F(ApproxFixture, OptionsValidationRejectsBadSimpsonPanels) {
@@ -24,13 +34,16 @@ TEST_F(ApproxFixture, OptionsValidationRejectsBadSimpsonPanels) {
   for (const int panels : {-4, -1, 0, 1, 3, 15}) {
     ApproxOptions o;
     o.simpson_panels = panels;
-    EXPECT_THROW(ApproxRegionProbability(exact_, o), std::invalid_argument)
+    EXPECT_THROW(ProbKernel(exact_, o), std::invalid_argument)
+        << "panels=" << panels;
+    EXPECT_THROW(theorem1(20, 20, GridRect{5, 5, 9, 9}, o),
+                 std::invalid_argument)
         << "panels=" << panels;
   }
   for (const int panels : {2, 4, 16, 64}) {
     ApproxOptions o;
     o.simpson_panels = panels;
-    EXPECT_NO_THROW(ApproxRegionProbability(exact_, o)) << "panels=" << panels;
+    EXPECT_NO_THROW(ProbKernel(exact_, o)) << "panels=" << panels;
   }
 }
 
@@ -38,42 +51,55 @@ TEST_F(ApproxFixture, OptionsValidationRejectsNegativeThresholds) {
   {
     ApproxOptions o;
     o.small_range_threshold = -1;
-    EXPECT_THROW(ApproxRegionProbability(exact_, o), std::invalid_argument);
+    EXPECT_THROW(ProbKernel(exact_, o), std::invalid_argument);
   }
   {
     ApproxOptions o;
     o.small_region_threshold = -3;
-    EXPECT_THROW(ApproxRegionProbability(exact_, o), std::invalid_argument);
+    EXPECT_THROW(ProbKernel(exact_, o), std::invalid_argument);
   }
   {
     ApproxOptions o;
     o.narrow_range_threshold = -2;
-    EXPECT_THROW(ApproxRegionProbability(exact_, o), std::invalid_argument);
+    EXPECT_THROW(ProbKernel(exact_, o), std::invalid_argument);
   }
   // Zero thresholds are legal: they just disable the exact-fallback bands.
   ApproxOptions zeros;
   zeros.small_range_threshold = 0;
   zeros.small_region_threshold = 0;
   zeros.narrow_range_threshold = 0;
-  EXPECT_NO_THROW(ApproxRegionProbability(exact_, zeros));
+  EXPECT_NO_THROW(ProbKernel(exact_, zeros));
 }
 
 TEST_F(ApproxFixture, ErrorCellsAreExactlyThePaperList) {
   // Section 4.5: for a type I net, Function (1)'s mu ratio leaves (0,1)
   // exactly at cells (0,0), (g1-2,g2-1), (g1-1,g2-2) and (g1-1,g2-1) of the
   // routing range — the gray cells of Figure 7. Probe the top-exit term at
-  // every (x, y2) pair and check invalidity occurs exactly where predicted.
+  // every (x, y2) pair, and its right-exit mirror at every (x2, y), and
+  // check invalidity occurs exactly where predicted.
   const int g1 = 9, g2 = 7;
   for (int y2 = 0; y2 < g2; ++y2) {
     for (int x = 0; x < g1; ++x) {
       const bool invalid =
-          !approx_.top_exit_term_approx(g1, g2, static_cast<double>(x), y2)
+          !top_exit_term_approx(g1, g2, static_cast<double>(x), y2)
                .has_value();
       const bool predicted = (x == 0 && y2 == 0) ||
                              (x == g1 - 2 && y2 == g2 - 1) ||
                              (x == g1 - 1 && y2 == g2 - 2) ||
                              (x == g1 - 1 && y2 == g2 - 1);
       EXPECT_EQ(invalid, predicted) << "x=" << x << " y2=" << y2;
+    }
+  }
+  for (int x2 = 0; x2 < g1; ++x2) {
+    for (int y = 0; y < g2; ++y) {
+      const bool invalid =
+          !right_exit_term_approx(g1, g2, x2, static_cast<double>(y))
+               .has_value();
+      const bool predicted = (x2 == 0 && y == 0) ||
+                             (x2 == g1 - 1 && y == g2 - 2) ||
+                             (x2 == g1 - 2 && y == g2 - 1) ||
+                             (x2 == g1 - 1 && y == g2 - 1);
+      EXPECT_EQ(invalid, predicted) << "x2=" << x2 << " y=" << y;
     }
   }
 }
@@ -84,9 +110,9 @@ TEST_F(ApproxFixture, Figure8CurveDeviationBelowPointZeroFive) {
   // deviation of the term values stays below 0.05.
   const int g1 = 31, g2 = 21, y2 = 15;
   for (int x = 10; x <= 20; ++x) {
-    const double exact = approx_.top_exit_term_exact(g1, g2, x, y2);
+    const double exact = top_exit_term_exact(exact_, g1, g2, x, y2);
     const auto approx =
-        approx_.top_exit_term_approx(g1, g2, static_cast<double>(x), y2);
+        top_exit_term_approx(g1, g2, static_cast<double>(x), y2);
     ASSERT_TRUE(approx.has_value()) << "x=" << x;
     EXPECT_NEAR(*approx, exact, 0.05) << "x=" << x;
   }
@@ -108,10 +134,10 @@ TEST_F(ApproxFixture, TermDeviationBoundAwayFromPins) {
         const int sink_dist = (g1 - 1 - x) + (g2 - 1 - y2);
         if (source_dist <= 3 || sink_dist <= 3) continue;  // pin zone
         const auto approx =
-            approx_.top_exit_term_approx(g1, g2, static_cast<double>(x), y2);
+            top_exit_term_approx(g1, g2, static_cast<double>(x), y2);
         ASSERT_TRUE(approx.has_value())
             << "g=(" << g1 << ',' << g2 << ") x=" << x << " y2=" << y2;
-        const double exact = approx_.top_exit_term_exact(g1, g2, x, y2);
+        const double exact = top_exit_term_exact(exact_, g1, g2, x, y2);
         EXPECT_NEAR(*approx, exact, 0.05)
             << "g=(" << g1 << ',' << g2 << ") x=" << x << " y2=" << y2;
       }
@@ -132,7 +158,7 @@ TEST_F(ApproxFixture, NarrowRangesRouteToExactFormula) {
         const double expected = exact_.region_covers_pin(s, r)
                                     ? 1.0
                                     : exact_.region_probability_exact(s, r);
-        EXPECT_NEAR(approx_.region_probability(s, r), expected, 1e-12)
+        EXPECT_NEAR(region_probability(s, r), expected, 1e-12)
             << "g=(" << g1 << ',' << g2 << ") region " << r;
       }
     }
@@ -154,7 +180,7 @@ TEST_F(ApproxFixture, WorstCaseRegionErrorBounded) {
                                       ? 1.0
                                       : exact_.region_probability_exact(s, r);
           worst = std::max(worst,
-                           std::abs(approx_.region_probability(s, r) - expected));
+                           std::abs(region_probability(s, r) - expected));
         }
       }
     }
@@ -167,14 +193,14 @@ TEST_F(ApproxFixture, RightTermMirrorsTopTermOnSquareRanges) {
   const int g = 17;
   for (int c = 2; c < g - 2; ++c) {
     for (int v = 0; v < g - 1; ++v) {
-      const auto top = approx_.top_exit_term_approx(g, g, v, c);
-      const auto right = approx_.right_exit_term_approx(g, g, c, v);
+      const auto top = top_exit_term_approx(g, g, v, c);
+      const auto right = right_exit_term_approx(g, g, c, v);
       ASSERT_EQ(top.has_value(), right.has_value());
       if (top) {
         EXPECT_NEAR(*top, *right, 1e-12);
       }
-      EXPECT_NEAR(approx_.top_exit_term_exact(g, g, v, c),
-                  approx_.right_exit_term_exact(g, g, c, v), 1e-12);
+      EXPECT_NEAR(top_exit_term_exact(exact_, g, g, v, c),
+                  right_exit_term_exact(exact_, g, g, c, v), 1e-12);
     }
   }
 }
@@ -185,7 +211,7 @@ TEST_F(ApproxFixture, Theorem1TracksExactOnInteriorRegions) {
   for (const GridRect r : {GridRect{10, 8, 20, 15}, GridRect{5, 5, 8, 9},
                            GridRect{14, 2, 25, 6}, GridRect{2, 10, 28, 18},
                            GridRect{12, 12, 12, 12}}) {
-    const auto approx = approx_.theorem1(g1, g2, r);
+    const auto approx = theorem1(g1, g2, r);
     ASSERT_TRUE(approx.has_value()) << r;
     const double exact = exact_.region_probability_exact(s, r);
     EXPECT_NEAR(*approx, exact, 0.05) << r;
@@ -194,11 +220,11 @@ TEST_F(ApproxFixture, Theorem1TracksExactOnInteriorRegions) {
 
 TEST_F(ApproxFixture, RegionProbabilityPolicyPinsGetOne) {
   const NetGridShape t1{20, 16, false};
-  EXPECT_EQ(approx_.region_probability(t1, GridRect{0, 0, 2, 2}), 1.0);
-  EXPECT_EQ(approx_.region_probability(t1, GridRect{18, 14, 19, 15}), 1.0);
+  EXPECT_EQ(region_probability(t1, GridRect{0, 0, 2, 2}), 1.0);
+  EXPECT_EQ(region_probability(t1, GridRect{18, 14, 19, 15}), 1.0);
   const NetGridShape t2{20, 16, true};
-  EXPECT_EQ(approx_.region_probability(t2, GridRect{0, 13, 2, 15}), 1.0);
-  EXPECT_EQ(approx_.region_probability(t2, GridRect{17, 0, 19, 3}), 1.0);
+  EXPECT_EQ(region_probability(t2, GridRect{0, 13, 2, 15}), 1.0);
+  EXPECT_EQ(region_probability(t2, GridRect{17, 0, 19, 3}), 1.0);
 }
 
 TEST_F(ApproxFixture, RegionProbabilityPolicyMatchesExactBroadly) {
@@ -211,7 +237,7 @@ TEST_F(ApproxFixture, RegionProbabilityPolicyMatchesExactBroadly) {
         for (int w = 1; w <= 9; w += 4) {
           for (int h = 1; h <= 7; h += 3) {
             const GridRect r{x1, y1, std::min(x1 + w, 24), std::min(y1 + h, 17)};
-            const double policy = approx_.region_probability(s, r);
+            const double policy = region_probability(s, r);
             const double exact = exact_.region_probability_exact(s, r);
             EXPECT_NEAR(policy, exact, 0.06)
                 << "type2=" << type2 << " region " << r;
@@ -232,7 +258,7 @@ TEST_F(ApproxFixture, SmallRangesFallBackToExact) {
         for (int x = 0; x < g1; ++x) {
           for (int y = 0; y < g2; ++y) {
             const GridRect r{x, y, x, y};
-            EXPECT_NEAR(approx_.region_probability(s, r),
+            EXPECT_NEAR(region_probability(s, r),
                         exact_.region_covers_pin(s, r)
                             ? 1.0
                             : exact_.region_probability_exact(s, r),
@@ -247,19 +273,19 @@ TEST_F(ApproxFixture, SmallRangesFallBackToExact) {
 }
 
 TEST_F(ApproxFixture, DegenerateRangesAreCertain) {
-  EXPECT_EQ(approx_.region_probability(NetGridShape{1, 1, false},
+  EXPECT_EQ(region_probability(NetGridShape{1, 1, false},
                                        GridRect{0, 0, 0, 0}),
             1.0);
-  EXPECT_EQ(approx_.region_probability(NetGridShape{9, 1, false},
+  EXPECT_EQ(region_probability(NetGridShape{9, 1, false},
                                        GridRect{3, 0, 5, 0}),
             1.0);
-  EXPECT_EQ(approx_.region_probability(NetGridShape{1, 7, false},
+  EXPECT_EQ(region_probability(NetGridShape{1, 7, false},
                                        GridRect{0, 2, 0, 2}),
             1.0);
 }
 
 TEST_F(ApproxFixture, DisjointRegionsAreZero) {
-  EXPECT_EQ(approx_.region_probability(NetGridShape{10, 10, false},
+  EXPECT_EQ(region_probability(NetGridShape{10, 10, false},
                                        GridRect{12, 0, 14, 3}),
             0.0);
 }
@@ -269,7 +295,6 @@ TEST_F(ApproxFixture, ContinuityCorrectionImprovesAccuracy) {
   // sums better than integrating over the paper's literal [x1, x2].
   ApproxOptions literal;
   literal.continuity_correction = false;
-  const ApproxRegionProbability approx_literal(exact_, literal);
 
   const int g1 = 31, g2 = 21;
   const NetGridShape s{g1, g2, false};
@@ -281,8 +306,8 @@ TEST_F(ApproxFixture, ContinuityCorrectionImprovesAccuracy) {
       const GridRect r{x1, y1, std::min(x1 + 5, g1 - 2),
                        std::min(y1 + 4, g2 - 2)};
       const double exact = exact_.region_probability_exact(s, r);
-      const auto c = approx_.theorem1(g1, g2, r);
-      const auto l = approx_literal.theorem1(g1, g2, r);
+      const auto c = theorem1(g1, g2, r);
+      const auto l = theorem1(g1, g2, r, literal);
       ASSERT_TRUE(c && l);
       err_corrected += std::abs(*c - exact);
       err_literal += std::abs(*l - exact);
@@ -302,14 +327,13 @@ TEST_F(ApproxFixture, ZeroWidthSpansKeepTheirExitMass) {
   // integral is the continuity-corrected one-term sum).
   ApproxOptions literal;
   literal.continuity_correction = false;
-  const ApproxRegionProbability approx_literal(exact_, literal);
   const int g1 = 31, g2 = 21;
   const NetGridShape s{g1, g2, false};
   double largest_exact = 0.0;
   for (int x = 10; x <= 20; x += 2) {
     for (int y = 8; y <= 14; y += 2) {
       const GridRect r{x, y, x, y};
-      const auto th = approx_literal.theorem1(g1, g2, r);
+      const auto th = theorem1(g1, g2, r, literal);
       ASSERT_TRUE(th.has_value()) << r;
       const double exact = exact_.region_probability_exact(s, r);
       largest_exact = std::max(largest_exact, exact);
@@ -336,8 +360,8 @@ TEST_F(ApproxFixture, OutOfRangeRegionsMatchClampedRegions) {
         const GridRect clamped{std::max(raw.xlo, 0), std::max(raw.ylo, 0),
                                std::min(raw.xhi, g1 - 1),
                                std::min(raw.yhi, g2 - 1)};
-        EXPECT_EQ(approx_.region_probability(s, raw),
-                  approx_.region_probability(s, clamped))
+        EXPECT_EQ(region_probability(s, raw),
+                  region_probability(s, clamped))
             << "type2=" << type2 << " g=(" << g1 << ',' << g2 << ") raw "
             << raw;
       }
@@ -351,7 +375,7 @@ TEST_F(ApproxFixture, ProbabilitiesStayInUnitInterval) {
     for (int x1 = 0; x1 < 33; x1 += 5) {
       for (int y1 = 0; y1 < 27; y1 += 5) {
         const GridRect r{x1, y1, std::min(x1 + 6, 32), std::min(y1 + 6, 26)};
-        const double p = approx_.region_probability(s, r);
+        const double p = region_probability(s, r);
         EXPECT_GE(p, 0.0);
         EXPECT_LE(p, 1.0);
       }

@@ -18,7 +18,7 @@ struct CliRun {
   std::string output;
 };
 
-/// Runs the CLI with `args`; `env` (e.g. "FICON_SIMD=0") prefixes the
+/// Runs the CLI with `args`; `env` (e.g. "FICON_THREADS=2") prefixes the
 /// command line as environment assignments.
 CliRun run_cli(const std::string& args, const std::string& env = "") {
   const std::string cmd =
@@ -92,15 +92,27 @@ TEST(FiconCliTest, UnknownCircuitExitsTwo) {
       << run.output;
 }
 
-TEST(FiconCliTest, MalformedSimdKnobFailsLoudly) {
-  // FICON_SIMD accepts on/off spellings only; "scalar" used to run SIMD.
+TEST(FiconCliTest, MalformedThreadsKnobFailsLoudly) {
+  // A non-numeric FICON_THREADS used to run with the default thread count.
   const CliRun bad =
-      run_cli("--circuit apte --op evaluate --json", "FICON_SIMD=scalar");
+      run_cli("--circuit apte --op evaluate --json", "FICON_THREADS=abc");
   EXPECT_NE(bad.exit_code, 0) << bad.output;
-  EXPECT_NE(bad.output.find("FICON_SIMD"), std::string::npos) << bad.output;
-  const CliRun off =
-      run_cli("--circuit apte --op evaluate --json", "FICON_SIMD=off");
-  EXPECT_EQ(off.exit_code, 0) << off.output;
+  EXPECT_NE(bad.output.find("FICON_THREADS"), std::string::npos)
+      << bad.output;
+  const CliRun good =
+      run_cli("--circuit apte --op evaluate --json", "FICON_THREADS=2");
+  EXPECT_EQ(good.exit_code, 0) << good.output;
+}
+
+TEST(FiconCliTest, MalformedThreadsKnobFailsCleanlyWithoutJson) {
+  // The human-facing path reads the knob outside the service layer; it
+  // must exit with status 2 and the knob's name, not abort.
+  const CliRun bad =
+      run_cli("--circuit apte --quiet --effort 0.01", "FICON_THREADS=abc");
+  EXPECT_EQ(bad.exit_code, 2) << bad.output;
+  EXPECT_NE(bad.output.find("ficon_cli: FICON_THREADS"), std::string::npos)
+      << bad.output;
+  EXPECT_EQ(bad.output.find("terminate"), std::string::npos) << bad.output;
 }
 
 TEST(FiconCliTest, JsonEvaluatePrintsOneCanonicalLine) {

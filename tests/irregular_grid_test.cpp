@@ -297,30 +297,33 @@ TEST(IrregularGrid, BandedMatchesPerRegionExactly) {
   }
 }
 
-TEST(IrregularGrid, BandedAmi49StreamIsBitIdenticalToGolden) {
-  // Pins the default banded path bit for bit: every flow value of a
-  // seeded stream of ami49 candidates (30 um pitch, one random move
-  // apart) is hashed by its bit pattern, and the last candidate's
-  // top-fraction cost is pinned exactly. Speed work on the banded scorer
-  // must keep both; an intended numerical change must re-record them and
-  // say so. The values assume IEEE doubles without FMA contraction (the
-  // default x86-64 build).
-  const Netlist netlist = make_mcnc("ami49");
+// Golden record of a seeded stream of MCNC candidates (30 um pitch, one
+// random move apart): an FNV-1a hash over the bit pattern of every flow
+// value, plus the last candidate's top-fraction cost.
+struct StreamGolden {
+  std::uint64_t hash = 0xcbf29ce484222325ull;
+  double cost = 0.0;
+};
+
+StreamGolden stream_golden(const char* circuit, IrEvalStrategy strategy,
+                           const ApproxOptions& approx) {
+  const Netlist netlist = make_mcnc(circuit);
   const SlicingPacker packer(netlist);
-  const IrregularGridModel model;  // kBandedExact, 30 um
-  ASSERT_EQ(model.params().strategy, IrEvalStrategy::kBandedExact);
+  IrregularGridParams params;  // 30 um
+  params.strategy = strategy;
+  params.approx = approx;
+  const IrregularGridModel model(params);
   Rng rng(4949);
   PolishExpression expr =
       PolishExpression::initial(static_cast<int>(netlist.module_count()));
   for (int k = 0; k < 500; ++k) expr.random_move(rng);
-  std::uint64_t hash = 0xcbf29ce484222325ull;  // FNV-1a over 64-bit words
-  const auto fold = [&hash](std::uint64_t word) {
+  StreamGolden golden;
+  const auto fold = [&golden](std::uint64_t word) {
     for (int byte = 0; byte < 8; ++byte) {
-      hash ^= (word >> (8 * byte)) & 0xffu;
-      hash *= 0x100000001b3ull;
+      golden.hash ^= (word >> (8 * byte)) & 0xffu;
+      golden.hash *= 0x100000001b3ull;
     }
   };
-  double cost = 0.0;
   for (int candidate = 0; candidate < 50; ++candidate) {
     expr.random_move(rng);
     const SlicingResult packed = packer.pack(expr);
@@ -334,11 +337,37 @@ TEST(IrregularGrid, BandedAmi49StreamIsBitIdenticalToGolden) {
         fold(std::bit_cast<std::uint64_t>(map.flow(ix, iy)));
       }
     }
-    cost = map.top_fraction_cost(model.params().top_fraction);
-    fold(std::bit_cast<std::uint64_t>(cost));
+    golden.cost = map.top_fraction_cost(params.top_fraction);
+    fold(std::bit_cast<std::uint64_t>(golden.cost));
   }
-  EXPECT_EQ(hash, 0xea19f351416d74eaull);
-  EXPECT_EQ(cost, 0x1.41cdcb8822509p-10);
+  return golden;
+}
+
+TEST(IrregularGrid, BandedAmi49StreamIsBitIdenticalToGolden) {
+  // Pins the default banded path bit for bit. Speed work on the banded
+  // scorer must keep both values; an intended numerical change must
+  // re-record them and say so. The values assume IEEE doubles without FMA
+  // contraction (the default x86-64 build).
+  ASSERT_EQ(IrregularGridParams{}.strategy, IrEvalStrategy::kBandedExact);
+  const StreamGolden golden =
+      stream_golden("ami49", IrEvalStrategy::kBandedExact, ApproxOptions{});
+  EXPECT_EQ(golden.hash, 0xea19f351416d74eaull);
+  EXPECT_EQ(golden.cost, 0x1.41cdcb8822509p-10);
+}
+
+TEST(IrregularGrid, PaperModeTheorem1Ami33StreamIsBitIdenticalToGolden) {
+  // The same pin for the paper's Theorem 1 strategy with the narrowed
+  // exact-fallback thresholds the paper-mode benches use, so Theorem 1
+  // (not exact Formula 3) scores most regions, on the paper-mode
+  // benchmark circuit. Guards the batched probability kernel against any
+  // result drift.
+  ApproxOptions approx;
+  approx.narrow_range_threshold = 5;
+  approx.small_region_threshold = 4;
+  const StreamGolden golden =
+      stream_golden("ami33", IrEvalStrategy::kTheorem1, approx);
+  EXPECT_EQ(golden.hash, 0xe145df7c0f7b679aull);
+  EXPECT_EQ(golden.cost, 0x1.b6ac98f63472cp-9);
 }
 
 TEST(BandedWalker, PairedLanesMatchScalarRecurrenceBitForBit) {

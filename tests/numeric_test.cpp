@@ -1,9 +1,10 @@
 // Tests for the numeric kernel: factorial/binomial tables, Simpson
-// integration, the normal-distribution helpers, and the FICON_SIMD knob.
+// integration, the normal-distribution helpers, and the batched normal pdf.
 #include <cmath>
+#include <limits>
 #include <numbers>
 #include <stdexcept>
-#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -145,31 +146,39 @@ TEST(Normal, PdfIsDerivativeOfCdf) {
   }
 }
 
-TEST(SimdKnob, OnSpellingsEnable) {
-  for (const char* v : {"1", "on", "ON", "On", "true", "TRUE", "True"}) {
-    EXPECT_TRUE(parse_simd_knob(v)) << v;
+TEST(Kernel, NormalPdfBatchIsLaneExactAndTracksLibm) {
+  // Element i must not depend on the batch size (vector lanes vs the
+  // scalar exp_lane tail), must stay within a few ulps of the libm
+  // density, and a NaN inv_sigma must mark its sample NaN.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<double> xs, mus, inv_sigmas;
+  for (int i = 0; i < 9; ++i) {
+    xs.push_back(0.37 * i - 1.1);
+    mus.push_back(0.05 * i);
+    inv_sigmas.push_back(i == 5 ? nan : 1.0 / (0.4 + 0.3 * i));
   }
-}
-
-TEST(SimdKnob, OffSpellingsDisable) {
-  for (const char* v : {"0", "off", "OFF", "Off", "false", "FALSE"}) {
-    EXPECT_FALSE(parse_simd_knob(v)) << v;
-  }
-}
-
-TEST(SimdKnob, UnknownValuesAreAHardErrorNamingTheKnob) {
-  // Regression: "scalar" used to fall through to SIMD-on in silence.
-  for (const char* v : {"scalar", "simd", "2", "-1", "yes", "no", " on",
-                        "off ", ""}) {
-    try {
-      parse_simd_knob(v);
-      ADD_FAILURE() << "accepted '" << v << "'";
-    } catch (const std::invalid_argument& e) {
-      const std::string what = e.what();
-      EXPECT_NE(what.find("FICON_SIMD"), std::string::npos) << what;
-      EXPECT_NE(what.find(std::string("'") + v + "'"), std::string::npos)
-          << what;
+  std::vector<double> full(xs.size());
+  kernel::normal_pdf_batch(xs, mus, inv_sigmas, 0.75, full);
+  for (std::size_t n = 1; n <= xs.size(); ++n) {
+    std::vector<double> part(n);
+    kernel::normal_pdf_batch(std::span(xs).first(n), std::span(mus).first(n),
+                             std::span(inv_sigmas).first(n), 0.75, part);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (std::isnan(full[i])) {
+        EXPECT_TRUE(std::isnan(part[i])) << "n=" << n << " i=" << i;
+      } else {
+        EXPECT_EQ(part[i], full[i]) << "n=" << n << " i=" << i;
+      }
     }
+  }
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    if (i == 5) {
+      EXPECT_TRUE(std::isnan(full[i]));
+      continue;
+    }
+    const double ref =
+        0.75 * normal_pdf(xs[i], mus[i], 1.0 / inv_sigmas[i]);
+    EXPECT_NEAR(full[i], ref, 1e-14 * ref) << "i=" << i;
   }
 }
 

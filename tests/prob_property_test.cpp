@@ -1,10 +1,14 @@
 // Randomized property tests on the probability engine — invariants that
 // must hold for ALL regions and range shapes, checked over random draws.
 // Includes the batched-kernel equivalence contract: ProbKernel's
-// contiguous-array surface must agree with the scalar per-pair reference
-// bitwise in kScalar mode and to sub-ulp-of-probability tolerance in kSimd
-// mode, with bit-identical fallback decisions.
+// region_probability_batch must agree with the scalar libm reference
+// theorem1() to 1e-12 wherever the reference approximates, and must return
+// exact Formula 3 bit for bit wherever the reference finds an invalid
+// sample (identical fallback decisions).
+#include <algorithm>
 #include <cmath>
+#include <optional>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -33,6 +37,76 @@ class ProbProperties : public ::testing::Test {
   NetGridShape random_shape() {
     return NetGridShape{rng_.uniform_int(2, 24), rng_.uniform_int(2, 24),
                         rng_.chance(0.5)};
+  }
+
+  /// The paper's per-region policy computed on the scalar libm reference.
+  /// kApprox: the policy reaches Theorem 1 and the reference theorem1() is
+  /// valid. kFallback: it reaches Theorem 1 but the reference finds an
+  /// invalid sample, so `value` is exact Formula 3. kExact: the policy
+  /// answers without Theorem 1 (0, 1 or Formula 3).
+  struct PolicyReference {
+    enum Path { kExact, kApprox, kFallback };
+    double value = 0.0;
+    Path path = kExact;
+  };
+
+  PolicyReference reference_policy(const NetGridShape& s,
+                                   const GridRect& region,
+                                   const ApproxOptions& o) const {
+    const GridRect r{std::max(region.xlo, 0), std::max(region.ylo, 0),
+                     std::min(region.xhi, s.g1 - 1),
+                     std::min(region.yhi, s.g2 - 1)};
+    if (!r.valid()) return {0.0, PolicyReference::kExact};
+    if (s.degenerate() || prob_.region_covers_pin(s, r) ||
+        (r.xlo == 0 && r.xhi == s.g1 - 1) ||
+        (r.ylo == 0 && r.yhi == s.g2 - 1)) {
+      return {1.0, PolicyReference::kExact};
+    }
+    const double exact = prob_.region_probability_exact(s, r);
+    if (s.g1 + s.g2 < o.small_range_threshold ||
+        std::min(s.g1, s.g2) < o.narrow_range_threshold ||
+        r.nx() + r.ny() <= o.small_region_threshold) {
+      return {exact, PolicyReference::kExact};
+    }
+    const GridRect canonical = s.type2 ? mirror_region_y(s.g2, r) : r;
+    const std::optional<double> approx = theorem1(s.g1, s.g2, canonical, o);
+    return approx ? PolicyReference{*approx, PolicyReference::kApprox}
+                  : PolicyReference{exact, PolicyReference::kFallback};
+  }
+
+  /// Scores `regions` in one batch and checks every entry against the
+  /// reference: within 1e-12 where it approximates, bit-equal elsewhere.
+  /// Returns how many regions took the invalid-sample fallback.
+  int expect_batch_matches_reference(ProbKernel& kernel, const NetGridShape& s,
+                                     const std::vector<GridRect>& regions) {
+    std::vector<double> out(regions.size(), -1.0);
+    kernel.region_probability_batch(s, regions, out);
+    int fallbacks = 0;
+    for (std::size_t i = 0; i < regions.size(); ++i) {
+      const PolicyReference ref =
+          reference_policy(s, regions[i], kernel.options());
+      if (ref.path == PolicyReference::kApprox) {
+        EXPECT_NEAR(out[i], ref.value, 1e-12)
+            << "g=(" << s.g1 << ',' << s.g2 << ") t2=" << s.type2
+            << " region " << regions[i];
+      } else {
+        EXPECT_EQ(out[i], ref.value)
+            << "g=(" << s.g1 << ',' << s.g2 << ") t2=" << s.type2
+            << " region " << regions[i];
+      }
+      if (ref.path == PolicyReference::kFallback) ++fallbacks;
+    }
+    return fallbacks;
+  }
+
+  /// Options under which every region that is not certain reaches
+  /// Theorem 1 (no size-based exact fallbacks).
+  static ApproxOptions theorem1_everywhere() {
+    ApproxOptions o;
+    o.small_range_threshold = 0;
+    o.small_region_threshold = 0;
+    o.narrow_range_threshold = 0;
+    return o;
   }
 
   Rng rng_{2024};
@@ -200,7 +274,7 @@ TEST_F(ProbProperties, ApproxPolicyBoundedErrorRandomized) {
   // regions clear of the pin-adjacent frame, loose bound globally. (The
   // default kBandedExact strategy is exact everywhere; kTheorem1 is the
   // paper-fidelity mode.)
-  const ApproxRegionProbability approx(prob_);
+  ProbKernel kernel(prob_);
   for (int trial = 0; trial < 300; ++trial) {
     const NetGridShape s{rng_.uniform_int(12, 40), rng_.uniform_int(12, 40),
                          rng_.chance(0.5)};
@@ -208,7 +282,9 @@ TEST_F(ProbProperties, ApproxPolicyBoundedErrorRandomized) {
     const double expected = prob_.region_covers_pin(s, r)
                                 ? 1.0
                                 : prob_.region_probability_exact(s, r);
-    const double got = approx.region_probability(s, r);
+    double got = 0.0;
+    kernel.region_probability_batch(s, std::span<const GridRect>(&r, 1),
+                                    std::span<double>(&got, 1));
     const bool near_pin_frame =
         r.xlo <= 1 || r.ylo <= 1 || r.xhi >= s.g1 - 2 || r.yhi >= s.g2 - 2;
     EXPECT_NEAR(got, expected, near_pin_frame ? 0.20 : 0.06)
@@ -217,24 +293,26 @@ TEST_F(ProbProperties, ApproxPolicyBoundedErrorRandomized) {
   }
 }
 
-TEST_F(ProbProperties, BatchMatchesPerPairScalarBitwise) {
-  // kScalar batch calls ARE the historical per-pair path run in a loop:
-  // batching (and scratch reuse across calls) must never change a bit.
-  ApproxOptions o;
-  o.simd = SimdMode::kScalar;
-  ProbKernel kernel(prob_, o);
-  const ApproxRegionProbability scalar(prob_, o);
+TEST_F(ProbProperties, BatchMatchesPerPairCallsBitwise) {
+  // Batching (and scratch reuse across calls) must never change a bit:
+  // one call over many regions equals one batch-of-one call per region.
+  ProbKernel kernel(prob_);
+  ProbKernel per_pair(prob_);
   for (int trial = 0; trial < 120; ++trial) {
     const NetGridShape s = random_shape();
     std::vector<GridRect> regions;
     for (int i = 0; i < 17; ++i) regions.push_back(random_region(s.g1, s.g2));
-    // Raw out-of-range rects must clamp exactly like the per-pair API.
+    // Raw out-of-range rects must clamp exactly like in-range ones.
     regions.push_back(GridRect{-3, -2, s.g1 + 4, 2});
     regions.push_back(GridRect{s.g1 - 2, -5, s.g1 + 6, s.g2 + 9});
     std::vector<double> out(regions.size(), -1.0);
     kernel.region_probability_batch(s, regions, out);
     for (std::size_t i = 0; i < regions.size(); ++i) {
-      EXPECT_EQ(out[i], scalar.region_probability(s, regions[i]))
+      double one = -1.0;
+      per_pair.region_probability_batch(
+          s, std::span<const GridRect>(&regions[i], 1),
+          std::span<double>(&one, 1));
+      EXPECT_EQ(out[i], one)
           << "g=(" << s.g1 << ',' << s.g2 << ") t2=" << s.type2 << " region "
           << regions[i];
     }
@@ -249,107 +327,67 @@ TEST_F(ProbProperties, BatchMatchesPerPairScalarBitwise) {
   }
 }
 
-TEST_F(ProbProperties, SimdKernelMatchesScalarWithinUlps) {
-  // The vectorized path replaces only the pdf evaluation (custom exp);
-  // validity predicates are shared IEEE expressions, so which regions drop
-  // to exact fallback is bit-identical — asserted by the tight tolerance
-  // holding even across the fallback boundary (exact values are EQUAL, so
-  // any mode disagreement would show up as an approximation-sized jump).
-  ApproxOptions so;
-  so.simd = SimdMode::kScalar;
-  ApproxOptions vo;
-  vo.simd = SimdMode::kSimd;
-  ProbKernel scalar_kernel(prob_, so);
-  ProbKernel simd_kernel(prob_, vo);
-  EXPECT_FALSE(scalar_kernel.simd());
-  EXPECT_TRUE(simd_kernel.simd());
+TEST_F(ProbProperties, BatchedKernelMatchesScalarReferenceWithinUlps) {
+  // The batched path replaces only the pdf evaluation (custom exp) and
+  // the Simpson summation order; validity predicates are the same IEEE
+  // expressions as the libm reference, so which regions drop to exact
+  // Formula 3 is identical — asserted by the exact-equality branch
+  // holding across the fallback boundary (a disagreement would show up as
+  // an approximation-sized jump). Default thresholds, both net types.
+  ProbKernel kernel(prob_);
   for (int trial = 0; trial < 200; ++trial) {
     const NetGridShape s{rng_.uniform_int(12, 40), rng_.uniform_int(12, 40),
                          rng_.chance(0.5)};
     std::vector<GridRect> regions;
     for (int i = 0; i < 16; ++i) regions.push_back(random_region(s.g1, s.g2));
-    std::vector<double> a(regions.size()), b(regions.size());
-    scalar_kernel.region_probability_batch(s, regions, a);
-    simd_kernel.region_probability_batch(s, regions, b);
-    for (std::size_t i = 0; i < regions.size(); ++i) {
-      EXPECT_NEAR(a[i], b[i], 1e-12)
-          << "g=(" << s.g1 << ',' << s.g2 << ") t2=" << s.type2 << " region "
-          << regions[i];
-    }
+    expect_batch_matches_reference(kernel, s, regions);
   }
 }
 
-TEST_F(ProbProperties, BatchTermSamplersMarkExactlyThePaperCellsInvalid) {
-  // Section 4.5: the four pin-adjacent cells are the ONLY invalid top-exit
-  // samples on integer abscissae, and both kernel modes must mark exactly
-  // those with NaN (the batch encoding of the scalar probe's nullopt).
+TEST_F(ProbProperties, PaperInvalidCellsFallBackToExactInTheBatch) {
+  // Section 4.5: the four pin-adjacent cells are the only invalid
+  // samples of the reference probes (approx_test pins the list). With the
+  // size-based fallbacks off, every region whose Simpson samples touch
+  // them must come back from the batch as exact Formula 3, bit for bit;
+  // every other one as Theorem 1.
   const int g1 = 9, g2 = 7;
-  for (const SimdMode mode : {SimdMode::kScalar, SimdMode::kSimd}) {
-    ApproxOptions o;
-    o.simd = mode;
-    ProbKernel kernel(prob_, o);
-    std::vector<double> xs(static_cast<std::size_t>(g1));
-    for (int x = 0; x < g1; ++x) xs[static_cast<std::size_t>(x)] = x;
-    std::vector<double> out(xs.size());
-    for (int y2 = 0; y2 < g2; ++y2) {
-      kernel.eval_top_exit_terms(g1, g2, y2, xs, out);
+  // Every single cell and every 2x2 block of the range, both net types.
+  ProbKernel kernel(prob_, theorem1_everywhere());
+  int fallbacks = 0;
+  for (const bool type2 : {false, true}) {
+    const NetGridShape s{g1, g2, type2};
+    std::vector<GridRect> regions;
+    for (int y = 0; y < g2; ++y) {
       for (int x = 0; x < g1; ++x) {
-        const bool predicted = (x == 0 && y2 == 0) ||
-                               (x == g1 - 2 && y2 == g2 - 1) ||
-                               (x == g1 - 1 && y2 == g2 - 2) ||
-                               (x == g1 - 1 && y2 == g2 - 1);
-        EXPECT_EQ(std::isnan(out[static_cast<std::size_t>(x)]), predicted)
-            << "mode=" << static_cast<int>(mode) << " x=" << x
-            << " y2=" << y2;
+        regions.push_back(GridRect{x, y, x, y});
+        regions.push_back(GridRect{x, y, x + 1, y + 1});
       }
     }
-    // The right-exit mirror: same four cells under the x/y swap.
-    std::vector<double> ys(static_cast<std::size_t>(g2));
-    for (int y = 0; y < g2; ++y) ys[static_cast<std::size_t>(y)] = y;
-    std::vector<double> rout(ys.size());
-    for (int x2 = 0; x2 < g1; ++x2) {
-      kernel.eval_right_exit_terms(g1, g2, x2, ys, rout);
-      for (int y = 0; y < g2; ++y) {
-        const bool predicted = (x2 == 0 && y == 0) ||
-                               (x2 == g1 - 1 && y == g2 - 2) ||
-                               (x2 == g1 - 2 && y == g2 - 1) ||
-                               (x2 == g1 - 1 && y == g2 - 1);
-        EXPECT_EQ(std::isnan(rout[static_cast<std::size_t>(y)]), predicted)
-            << "mode=" << static_cast<int>(mode) << " x2=" << x2
-            << " y=" << y;
-      }
-    }
+    fallbacks += expect_batch_matches_reference(kernel, s, regions);
   }
+  EXPECT_GT(fallbacks, 0);  // the fallback branch really ran
 }
 
-TEST_F(ProbProperties, TheoremOneBatchNaNAgreesWithScalarNullopt) {
-  // theorem1_batch's NaN marker must coincide exactly with the scalar
-  // reference's nullopt — the fallback decision both modes feed from.
-  ApproxOptions o;
-  o.simd = SimdMode::kSimd;
-  ProbKernel kernel(prob_, o);
-  const ApproxRegionProbability scalar(prob_);
+TEST_F(ProbProperties, TheoremOneFallbacksAgreeWithScalarNullopt) {
+  // Random regions on small-to-medium ranges with the size-based
+  // fallbacks off: wherever the reference theorem1() returns nullopt the
+  // batch must return exact Formula 3 bit for bit, elsewhere it must track
+  // the reference to 1e-12.
+  ProbKernel kernel(prob_, theorem1_everywhere());
+  int fallbacks = 0;
   for (int trial = 0; trial < 120; ++trial) {
     const NetGridShape s{rng_.uniform_int(5, 30), rng_.uniform_int(5, 30),
-                         false};
+                         rng_.chance(0.5)};
     std::vector<GridRect> regions;
     for (int i = 0; i < 8; ++i) regions.push_back(random_region(s.g1, s.g2));
-    std::vector<double> out(regions.size());
-    kernel.theorem1_batch(s.g1, s.g2, regions, out);
-    for (std::size_t i = 0; i < regions.size(); ++i) {
-      const auto ref = scalar.theorem1(s.g1, s.g2, regions[i]);
-      EXPECT_EQ(std::isnan(out[i]), !ref.has_value())
-          << "g=(" << s.g1 << ',' << s.g2 << ") region " << regions[i];
-      if (ref.has_value() && !std::isnan(out[i])) {
-        EXPECT_NEAR(out[i], *ref, 1e-12) << "region " << regions[i];
-      }
-    }
+    fallbacks += expect_batch_matches_reference(kernel, s, regions);
   }
+  EXPECT_GT(fallbacks, 0);
 }
 
 TEST_F(ProbProperties, BatchedSimdEvaluateBitIdenticalAcrossThreadCounts) {
   // End-to-end determinism pin for the batched path: the kTheorem1
-  // strategy on the SIMD kernel must produce bit-identical flow grids at
+  // strategy on the batched kernel must produce bit-identical flow grids at
   // every thread count (same contract as determinism_test, which covers
   // the default strategies).
   Rng rng(77);
@@ -364,7 +402,6 @@ TEST_F(ProbProperties, BatchedSimdEvaluateBitIdenticalAcrossThreadCounts) {
   const Rect chip{0.0, 0.0, 930.0, 730.0};
   IrregularGridParams params;
   params.strategy = IrEvalStrategy::kTheorem1;
-  params.approx.simd = SimdMode::kSimd;
   const IrregularGridModel model(params);
 
   ThreadPool::set_global_threads(1);

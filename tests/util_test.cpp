@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -128,7 +129,8 @@ TEST(Env, ParsesAndFallsBack) {
   ::setenv("FICON_TEST_DBL", "2.5", 1);
   ::setenv("FICON_TEST_LIST", "a,b,c", 1);
   EXPECT_EQ(env_int("FICON_TEST_INT", 3), 17);
-  EXPECT_EQ(env_int("FICON_TEST_BAD", 3), 3);
+  // A malformed knob is a hard error, never a silent default.
+  EXPECT_THROW(env_int("FICON_TEST_BAD", 3), std::invalid_argument);
   EXPECT_EQ(env_int("FICON_TEST_MISSING", 5), 5);
   EXPECT_DOUBLE_EQ(env_double("FICON_TEST_DBL", 0.1), 2.5);
   EXPECT_EQ(env_string("FICON_TEST_MISSING", "dflt"), "dflt");
@@ -142,6 +144,40 @@ TEST(Env, ParsesAndFallsBack) {
   ::unsetenv("FICON_TEST_BAD");
   ::unsetenv("FICON_TEST_DBL");
   ::unsetenv("FICON_TEST_LIST");
+}
+
+TEST(Env, MalformedNumericKnobsThrowNamingTheKnob) {
+  const auto expect_rejected = [](const char* value, bool as_int) {
+    ::setenv("FICON_TEST_BAD", value, 1);
+    try {
+      if (as_int) {
+        env_int("FICON_TEST_BAD", 1);
+      } else {
+        env_double("FICON_TEST_BAD", 1.0);
+      }
+      ADD_FAILURE() << "accepted '" << value << "'";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("FICON_TEST_BAD"),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  // Integers: trailing junk, no digits, and values past int (which used to
+  // be truncated through the long -> int cast) or past long.
+  for (const char* v : {"abc", "4x", "1.5", "-", "2147483648", "-2147483649",
+                        "99999999999999999999999"}) {
+    expect_rejected(v, true);
+  }
+  // Doubles: trailing junk, no digits, and non-finite values.
+  for (const char* v : {"abc", "2.5s", ".", "1e999", "inf", "nan"}) {
+    expect_rejected(v, false);
+  }
+  // The int range edges themselves are accepted.
+  ::setenv("FICON_TEST_BAD", "2147483647", 1);
+  EXPECT_EQ(env_int("FICON_TEST_BAD", 1), 2147483647);
+  ::setenv("FICON_TEST_BAD", "-2147483648", 1);
+  EXPECT_EQ(env_int("FICON_TEST_BAD", 1), -2147483647 - 1);
+  ::unsetenv("FICON_TEST_BAD");
 }
 
 TEST(ThreadPool, RunsEveryBlockExactlyOnce) {

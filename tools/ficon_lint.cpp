@@ -10,7 +10,7 @@
 // machine-checked rules with stable IDs (run --list-rules, or see
 // docs/STATIC_ANALYSIS.md for the full table):
 //
-//   F001-F008  convention rules carried over from v1
+//   F001-F007  convention rules carried over from v1
 //   D001-D003  determinism rules (containers, clocks, pool reductions)
 //   L001-L002  layering rules against the .ficon-layers module DAG
 //
@@ -30,9 +30,6 @@
 //   --compile-commands PATH  compile database for include resolution;
 //                            defaults to <repo>/build/compile_commands.json
 //                            when present
-//   --cache PATH             per-file result cache keyed by content hash;
-//                            safe because global checks (README, schema,
-//                            layering) re-run at aggregation every time
 //
 // Exit codes: 0 clean (all findings baselined), 1 findings, 2 usage or
 // I/O error.
@@ -50,7 +47,6 @@
 #include "lint/include_graph.hpp"
 #include "lint/report.hpp"
 #include "lint/rules.hpp"
-#include "lint/tokenizer.hpp"
 
 namespace fs = std::filesystem;
 using namespace ficon::lint;
@@ -73,8 +69,7 @@ void list_rules() {
 int usage() {
   std::cerr << "usage: ficon_lint [--repo DIR] [--baseline FILE] "
                "[--update-baseline] [--list-rules]\n"
-               "                  [--sarif FILE] [--compile-commands FILE] "
-               "[--cache FILE]\n";
+               "                  [--sarif FILE] [--compile-commands FILE]\n";
   return 2;
 }
 
@@ -82,7 +77,7 @@ int usage() {
 
 int main(int argc, char** argv) {
   fs::path repo = fs::current_path();
-  std::optional<fs::path> baseline_path, sarif_path, cc_path, cache_path;
+  std::optional<fs::path> baseline_path, sarif_path, cc_path;
   bool update_baseline = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -94,8 +89,6 @@ int main(int argc, char** argv) {
       sarif_path = fs::path(argv[++i]);
     } else if (arg == "--compile-commands" && i + 1 < argc) {
       cc_path = fs::path(argv[++i]);
-    } else if (arg == "--cache" && i + 1 < argc) {
-      cache_path = fs::path(argv[++i]);
     } else if (arg == "--update-baseline") {
       update_baseline = true;
     } else if (arg == "--list-rules") {
@@ -140,26 +133,19 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // Per-file analysis, through the cache when one is configured.
-  std::map<std::string, FileAnalysis> cached;
-  if (cache_path.has_value()) cached = load_cache(*cache_path);
-  std::map<std::string, FileAnalysis> analyses;
+  // Per-file analysis.
+  std::vector<FileAnalysis> analyses;
+  analyses.reserve(sources.size());
   for (const Source& s : sources) {
-    const std::uint64_t hash = content_hash(s.content);
-    const auto it = cached.find(s.rel);
-    if (it != cached.end() && it->second.hash == hash) {
-      analyses.emplace(s.rel, std::move(it->second));
-    } else {
-      analyses.emplace(s.rel, analyze_file(s.rel, s.content));
-    }
+    analyses.push_back(analyze_file(s.rel, s.content));
   }
 
   // Aggregation: global F-rule halves over the per-file extractions.
   std::vector<Finding> findings;
   std::vector<std::pair<std::string, const FileAnalysis*>> ordered;
-  for (const Source& s : sources) {
-    const FileAnalysis& fa = analyses.at(s.rel);
-    ordered.emplace_back(s.rel, &fa);
+  for (std::size_t i = 0; i < sources.size(); ++i) {
+    const FileAnalysis& fa = analyses[i];
+    ordered.emplace_back(sources[i].rel, &fa);
     findings.insert(findings.end(), fa.findings.begin(), fa.findings.end());
   }
   const fs::path schema_path = repo / "src" / "obs" / "schema.hpp";
@@ -214,12 +200,6 @@ int main(int argc, char** argv) {
   const auto suppressions = load_baseline(*baseline_path, &error);
   if (!suppressions.has_value()) {
     std::cerr << "ficon_lint: " << error << "\n";
-    return 2;
-  }
-
-  if (cache_path.has_value() && !save_cache(*cache_path, analyses)) {
-    std::cerr << "ficon_lint: cannot write cache " << cache_path->string()
-              << "\n";
     return 2;
   }
 

@@ -36,9 +36,6 @@ const std::vector<RuleInfo>& rule_registry() {
       {"F006", "derived-class virtual members must say override"},
       {"F007",
        "SVG emission goes through src/exp/ (HeatMapSource/write_svg)"},
-      {"F008",
-       "congestion/path_prob.hpp and congestion/approx.hpp are internal "
-       "outside src/congestion/ and tests/ (use congestion/prob_eval.hpp)"},
       {"D001",
        "no std::unordered_{map,set} in result-affecting src/ code: "
        "iteration order is unspecified across libstdc++ versions"},

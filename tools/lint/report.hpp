@@ -22,7 +22,7 @@
 namespace ficon::lint {
 
 struct Finding {
-  std::string rule;     // "F001".."F008", "D001".."D003", "L001"/"L002"
+  std::string rule;     // "F001".."F007", "D001".."D003", "L001"/"L002"
   std::string file;     // repo-relative path
   int line = 0;         // 1-based
   std::string message;

@@ -2,22 +2,12 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cinttypes>
-#include <cstdlib>
-#include <fstream>
 #include <regex>
 #include <set>
-#include <sstream>
 
 #include "lint/tokenizer.hpp"
-#include "obs/json.hpp"
-
-namespace fs = std::filesystem;
 
 namespace ficon::lint {
-
-const char kLintVersion[] = "ficon-lint-2.0.0";
-
 namespace {
 
 bool starts_with(const std::string& s, const char* prefix) {
@@ -245,27 +235,6 @@ void rule_svg_emission(FileCtx& ctx) {
       ctx.add("F007", static_cast<int>(i + 1),
               "ad-hoc SVG emission; render through HeatMapSource / "
               "write_svg in src/exp/");
-    }
-  }
-}
-
-// F008 — the per-pair probability engines are internal: only
-// src/congestion/ itself and the tests may include path_prob.hpp /
-// approx.hpp directly.
-void rule_probability_internal_headers(FileCtx& ctx) {
-  static const std::regex deep_prob_include(
-      "#include\\s*\"(?:src/)?congestion/(?:path_prob|approx)\\.hpp\"");
-  if (starts_with(ctx.rel, "src/congestion/") ||
-      starts_with(ctx.rel, "tests/") || ctx.rel == "tools/lint/rules.cpp") {
-    return;
-  }
-  for (std::size_t i = 0; i < ctx.src.views.text.size(); ++i) {
-    // The include path itself is a string literal — use the text view.
-    if (std::regex_search(ctx.src.views.text[i], deep_prob_include)) {
-      ctx.add("F008", static_cast<int>(i + 1),
-              "internal probability header; include "
-              "\"congestion/prob_eval.hpp\" (ProbabilityEvaluator) or "
-              "\"congestion/prob_kernel.hpp\" instead");
     }
   }
 }
@@ -501,24 +470,11 @@ std::set<std::string> registry_array(const std::string& text,
   return names;
 }
 
-std::string to_hex(std::uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%016" PRIx64, v);
-  return buf;
-}
-
-std::uint64_t from_hex(const std::string& s) {
-  return std::strtoull(s.c_str(), nullptr, 16);
-}
-
-std::string globals_key() { return to_hex(content_hash(kLintVersion)); }
-
 }  // namespace
 
 FileAnalysis analyze_file(const std::string& rel,
                           const std::string& content) {
   FileAnalysis out;
-  out.hash = content_hash(content);
   const std::vector<std::string> raw = split_lines(content);
   const TokenizedSource src = tokenize(content);
   FileCtx ctx{rel, raw, src, &out};
@@ -530,7 +486,6 @@ FileAnalysis analyze_file(const std::string& rel,
   rule_rng_discipline(ctx);
   rule_missing_override(ctx);
   rule_svg_emission(ctx);
-  rule_probability_internal_headers(ctx);
   rule_unordered_containers(ctx);
   rule_wall_clock(ctx);
   rule_pool_accumulation(ctx);
@@ -599,133 +554,6 @@ std::vector<Finding> aggregate_findings(
     }
   }
   return findings;
-}
-
-std::map<std::string, FileAnalysis> load_cache(const fs::path& path) {
-  std::map<std::string, FileAnalysis> out;
-  if (!fs::exists(path)) return out;
-  std::ifstream in(path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const auto value = ficon::obs::parse_json(buf.str());
-  if (!value.has_value() || !value->is_object()) return out;
-  const ficon::obs::JsonValue* schema = value->find("schema");
-  const ficon::obs::JsonValue* globals = value->find("globals");
-  if (schema == nullptr || !schema->is_string() ||
-      schema->string != "ficon-lint-cache-v1" || globals == nullptr ||
-      !globals->is_string() || globals->string != globals_key()) {
-    return out;  // different analyzer version: drop everything
-  }
-  const ficon::obs::JsonValue* files = value->find("files");
-  if (files == nullptr || !files->is_object()) return out;
-  const auto str = [](const ficon::obs::JsonValue& v, const char* key,
-                      std::string* dst) {
-    const ficon::obs::JsonValue* m = v.find(key);
-    if (m == nullptr || !m->is_string()) return false;
-    *dst = m->string;
-    return true;
-  };
-  const auto num = [](const ficon::obs::JsonValue& v, const char* key,
-                      int* dst) {
-    const ficon::obs::JsonValue* m = v.find(key);
-    if (m == nullptr || !m->is_number()) return false;
-    *dst = static_cast<int>(m->number);
-    return true;
-  };
-  for (const auto& [rel, entry] : files->object) {
-    FileAnalysis fa;
-    std::string hash;
-    if (!str(entry, "hash", &hash)) continue;
-    fa.hash = from_hex(hash);
-    bool ok = true;
-    const auto each = [&](const char* key, const auto& fn) {
-      const ficon::obs::JsonValue* list = entry.find(key);
-      if (list == nullptr) return;
-      if (list->type != ficon::obs::JsonValue::Type::kArray) {
-        ok = false;
-        return;
-      }
-      for (const ficon::obs::JsonValue& item : list->array) {
-        if (!fn(item)) {
-          ok = false;
-          return;
-        }
-      }
-    };
-    each("findings", [&](const ficon::obs::JsonValue& v) {
-      Finding f;
-      f.file = rel;
-      return str(v, "rule", &f.rule) && num(v, "line", &f.line) &&
-             str(v, "message", &f.message) && str(v, "token", &f.token) &&
-             (fa.findings.push_back(std::move(f)), true);
-    });
-    each("knobs", [&](const ficon::obs::JsonValue& v) {
-      KnobRead k;
-      return str(v, "knob", &k.knob) && num(v, "line", &k.line) &&
-             (fa.knobs.push_back(std::move(k)), true);
-    });
-    each("traces", [&](const ficon::obs::JsonValue& v) {
-      TraceName t;
-      return str(v, "kind", &t.kind) && str(v, "name", &t.name) &&
-             num(v, "line", &t.line) &&
-             (fa.traces.push_back(std::move(t)), true);
-    });
-    each("includes", [&](const ficon::obs::JsonValue& v) {
-      IncludeRef r;
-      return str(v, "path", &r.path) && num(v, "line", &r.line) &&
-             (fa.includes.push_back(std::move(r)), true);
-    });
-    if (ok) out.emplace(rel, std::move(fa));
-  }
-  return out;
-}
-
-bool save_cache(const fs::path& path,
-                const std::map<std::string, FileAnalysis>& files) {
-  std::ofstream out(path);
-  if (!out) return false;
-  out << "{\"schema\": \"ficon-lint-cache-v1\", \"globals\": \""
-      << globals_key() << "\",\n \"files\": {";
-  bool first_file = true;
-  for (const auto& [rel, fa] : files) {
-    out << (first_file ? "\n" : ",\n");
-    first_file = false;
-    out << "  \"" << json_escape(rel) << "\": {\"hash\": \""
-        << to_hex(fa.hash) << "\",\n   \"findings\": [";
-    bool first = true;
-    for (const Finding& f : fa.findings) {
-      out << (first ? "" : ",\n     ") << "{\"rule\": \"" << f.rule
-          << "\", \"line\": " << f.line << ", \"message\": \""
-          << json_escape(f.message) << "\", \"token\": \""
-          << json_escape(f.token) << "\"}";
-      first = false;
-    }
-    out << "],\n   \"knobs\": [";
-    first = true;
-    for (const KnobRead& k : fa.knobs) {
-      out << (first ? "" : ", ") << "{\"knob\": \"" << json_escape(k.knob)
-          << "\", \"line\": " << k.line << "}";
-      first = false;
-    }
-    out << "],\n   \"traces\": [";
-    first = true;
-    for (const TraceName& t : fa.traces) {
-      out << (first ? "" : ", ") << "{\"kind\": \"" << t.kind
-          << "\", \"name\": \"" << json_escape(t.name)
-          << "\", \"line\": " << t.line << "}";
-      first = false;
-    }
-    out << "],\n   \"includes\": [";
-    first = true;
-    for (const IncludeRef& r : fa.includes) {
-      out << (first ? "" : ", ") << "{\"path\": \"" << json_escape(r.path)
-          << "\", \"line\": " << r.line << "}";
-      first = false;
-    }
-    out << "]}";
-  }
-  out << "\n }\n}\n";
-  return static_cast<bool>(out);
 }
 
 }  // namespace ficon::lint

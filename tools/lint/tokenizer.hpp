@@ -7,7 +7,7 @@
 //    punctuators, comments) with 1-based physical line numbers — the
 //    input for the token-level rules (D001-D003, include extraction);
 //  * two line-aligned "views" of the file, byte-for-byte positioned like
-//    the original, that the pattern rules (F001-F008) match against:
+//    the original, that the pattern rules (F001-F007) match against:
 //      - code view: comments and string/char literal *contents* blanked
 //        (quote characters kept), so names inside strings or docs never
 //        trip code rules;
@@ -24,7 +24,6 @@
 //    rules can match on operator identity.
 #pragma once
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -62,8 +61,5 @@ TokenizedSource tokenize(const std::string& source);
 
 /// Split raw file content into physical lines (no trailing '\n').
 std::vector<std::string> split_lines(const std::string& source);
-
-/// FNV-1a over the raw bytes — the cache key for per-file results.
-std::uint64_t content_hash(const std::string& source);
 
 }  // namespace ficon::lint
