@@ -12,18 +12,23 @@
 //   R(X,y+1)/R(X,y) = (X+1+y)/(y+1) * (g2-1-y)/((g1-2-X)+(g2-1-y))
 // Both are one recurrence: with p = steps taken, u = len - p and the
 // band's constants q (Y or X) and v (g2-2-Y or g1-2-X),
-//   term *= ((q+p)/p) * (u/(u+v)),
-// so the only transcendental call is one exp() per band (the seed). Cells
-// covering a pin are exactly 1 (every route passes a pin cell), which
-// doubles as the paper's step 3.1.
+//   term *= ((q+p)*u) / (p*(u+v)),
+// so the only transcendental call is one exp() per band (the seed). The
+// four operands are integers below 2^26 (fill() requires g1, g2 < 2^26),
+// so both products are exact in double and each factor is the correctly
+// rounded ratio RN(((q+p)u) / (p(u+v))): one rounding, at most 0.5 ulp,
+// per step. Cells covering a pin are exactly 1 (every route passes a pin
+// cell), which doubles as the paper's step 3.1.
 //
 // Cost per net: O(R + ncy·g1 + ncx·g2) for R covered IR-cells; the band
-// walks dominate (each step is two IEEE divisions and a dependent
-// multiply). The bands of one pass are independent and equally long, so
-// walk_band_pair() advances two of them at once in a 2-lane vector. Each
-// lane performs exactly the scalar operations in the scalar order —
-// lane-wise divisions, no reciprocals — so every prefix sum is
-// bit-identical to walking the band alone.
+// walks dominate (each step is one IEEE division and two multiplies per
+// band). The bands of one pass are independent and equally long, so
+// walk_band_quad() advances four of them at once in two 2-lane vectors
+// (with one division per step the walk is no longer bound by division
+// throughput, and four lanes measured faster than two). Each lane
+// performs exactly the scalar operations in the scalar order — lane-wise
+// divisions, no reciprocals — so every prefix sum is bit-identical to
+// walking the band alone.
 #pragma once
 
 #include <span>
@@ -34,6 +39,10 @@
 
 namespace ficon {
 
+/// Lattice sides at or above this bound would make the recurrence's
+/// integer products inexact in double.
+inline constexpr int kMaxBandedSide = 1 << 26;
+
 /// One exit-term band of the recurrence above.
 struct ExitBand {
   double seed;  ///< the band's first term
@@ -41,30 +50,37 @@ struct ExitBand {
   int v;        ///< complementary extent: g2-2-Y or g1-2-X
 };
 
-/// Prefix sums of bands `a` and `b`, both of length `len` >= 1, walked in
-/// one 2-lane vector: prefix_a[i] = sum of a's first i+1 terms, likewise
-/// for b. Pass the same band twice to walk a single one.
-void walk_band_pair(int len, const ExitBand& a, const ExitBand& b,
-                    std::span<double> prefix_a, std::span<double> prefix_b);
+/// Prefix sums of four bands, all of length `len` >= 1, walked together
+/// in two 2-lane vectors (lanes 0-1 and 2-3). `prefix` holds len+1 rows
+/// of four interleaved lanes: prefix[4*i + k] is the sum of band k's
+/// first i terms, so row 0 is zero and band k's terms lo..hi sum to
+/// prefix[4*(hi+1) + k] - prefix[4*lo + k]. Repeat a band to walk fewer.
+/// Requires len, q and v below kMaxBandedSide.
+void walk_band_quad(int len, std::span<const ExitBand, 4> bands,
+                    std::span<double> prefix);
 
 /// Banded exact crossing probabilities for all covered IR-cells of one
 /// non-degenerate net. Owns its scratch buffers; one instance per
-/// evaluation block, never shared between threads.
+/// thread, never shared between threads.
 class BandedNetScorer {
  public:
-  /// @param shape  the net's fine lattice; requires g1, g2 >= 2.
+  /// @param shape  the net's fine lattice; requires 2 <= g1, g2 <
+  ///               kMaxBandedSide.
   /// @param lx1,lx2  unmirrored local fine spans of the covered columns.
   /// @param ly1,ly2  unmirrored local fine spans of the covered rows.
-  /// @param probs  out: ncx x ncy row-major (cy-major) matrix, pin
-  ///               override and clamp to [0, 1] applied.
+  /// @param probs  out: ncx x ncy row-major (cy-major) matrix with the pin
+  ///               override applied. Not clamped: rounding can leave a
+  ///               cell a few ulp outside [0, 1], and the caller clamps
+  ///               while accumulating.
   void fill(LogFactorialTable& table, const NetGridShape& shape,
             std::span<const int> lx1, std::span<const int> lx2,
             std::span<const int> ly1, std::span<const int> ly2,
             std::vector<double>& probs);
 
  private:
-  /// Walks bands_ (all of length `len`) two at a time and hands each
-  /// band's prefix row, with its IR row/column in band_cell_, to `add`.
+  /// Walks bands_ (all of length `len`) four at a time into prefix_ and
+  /// hands each group's IR rows/columns (1 to 4, from band_cell_) to
+  /// `add`, which reads lane k of prefix_ for the k-th of them.
   template <typename Add>
   void walk_bands(int len, Add&& add);
 

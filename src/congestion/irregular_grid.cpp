@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstring>
 #include <numeric>
 #include <ostream>
 
@@ -29,6 +30,9 @@ int local_hi(double hi, double origin, double pitch, int g) {
   return std::clamp(static_cast<int>(std::ceil(raw - 1e-9)) - 1, 0, g - 1);
 }
 
+// Two doubles in one 16-byte vector, as in congestion/banded.cpp.
+using vd2 = double __attribute__((vector_size(16)));
+
 /// A partial flow grid: one block's accumulation target. Same row-major
 /// layout as IrregularCongestionMap::flow(); partials from all blocks are
 /// reduced in block order at the end of evaluate().
@@ -42,6 +46,31 @@ struct FlowGrid {
                   "IR-cell index out of range");
     (*flow)[static_cast<std::size_t>(iy) * static_cast<std::size_t>(nx) +
             static_cast<std::size_t>(ix)] += p;
+  }
+
+  /// row[i] += clamp(probs[i], 0, 1) along IR row iy from column ix: two
+  /// cells per vector step, each rounded as the scalar `+=` rounds it.
+  /// Unchecked; the caller checks the net's whole window once.
+  void add_clamped_row(int ix, int iy, std::span<const double> probs) const {
+    double* row = flow->data() +
+                  static_cast<std::size_t>(iy) * static_cast<std::size_t>(nx) +
+                  static_cast<std::size_t>(ix);
+    const std::size_t n = probs.size();
+    const vd2 zero{0.0, 0.0};
+    const vd2 one{1.0, 1.0};
+    std::size_t i = 0;
+    for (; i + 2 <= n; i += 2) {
+      vd2 p;
+      vd2 acc;
+      std::memcpy(&p, probs.data() + i, sizeof p);
+      std::memcpy(&acc, row + i, sizeof acc);
+      // std::clamp's selects, lane-wise (a NaN passes through as there).
+      p = p < zero ? zero : p;
+      p = one < p ? one : p;
+      acc += p;
+      std::memcpy(row + i, &acc, sizeof acc);
+    }
+    for (; i < n; ++i) row[i] += std::clamp(probs[i], 0.0, 1.0);
   }
 };
 
@@ -77,7 +106,7 @@ std::uint64_t scoring_fingerprint(const IrregularGridParams& p) {
   return h;
 }
 
-/// Per-block net scorer (algorithm steps 3.1-3.3).
+/// Per-thread net scorer (algorithm steps 3.1-3.3).
 ///
 /// For every net it derives the covered IR-cell window and each covered
 /// column/row's local fine-lattice span, then computes the net's ncx x ncy
@@ -91,12 +120,15 @@ std::uint64_t scoring_fingerprint(const IrregularGridParams& p) {
 /// memoization cannot perturb results.
 class NetScorer {
  public:
-  NetScorer(LogFactorialTable& table, const IrregularGridParams& params,
-            ScoreMemo& memo)
-      : table_(&table),
-        params_(&params),
-        memo_(&memo),
-        kernel_(PathProbability(table), params.approx) {}
+  explicit NetScorer(LogFactorialTable& table)
+      : table_(&table), kernel_(PathProbability(table)) {}
+
+  /// Points the scorer at one evaluate() call's parameters and memo.
+  void bind(const IrregularGridParams& params, ScoreMemo& memo) {
+    params_ = &params;
+    memo_ = &memo;
+    kernel_.set_options(params.approx);
+  }
 
   void score(const TwoPinNet& net, const CutLines& cl, const Rect& chip,
              const FlowGrid& out) {
@@ -219,11 +251,24 @@ class NetScorer {
       probs = &probs_;
     }
 
+    // Clamp-and-accumulate, one matrix row per IR row. The clamp only
+    // moves banded cells (the region strategies return clamped values);
+    // a traced run counts the moves in a loop of its own, so the
+    // untraced loop stays branch-free.
+    FICON_REQUIRE(on_grid.ix1 >= 0 && on_grid.ix2 <= out.nx &&
+                      on_grid.iy1 >= 0 && on_grid.iy2 <= out.ny,
+                  "IR-cell index out of range");
+    const std::span<const double> matrix(*probs);
+    if (obs::trace_enabled()) {
+      const auto moved =
+          std::count_if(matrix.begin(), matrix.end(),
+                        [](double p) { return p < 0.0 || p > 1.0; });
+      obs::count(obs::Counter::kIrProbsClamped, moved);
+    }
     for (int cy = 0; cy < ncy; ++cy) {
-      for (int cx = 0; cx < ncx; ++cx) {
-        out.add(on_grid.ix1 + cx, on_grid.iy1 + cy,
-                (*probs)[index(cx, cy, ncx)]);
-      }
+      out.add_clamped_row(on_grid.ix1, on_grid.iy1 + cy,
+                          matrix.subspan(index(0, cy, ncx),
+                                         static_cast<std::size_t>(ncx)));
     }
   }
 
@@ -281,12 +326,12 @@ class NetScorer {
   }
 
   LogFactorialTable* table_;
-  const IrregularGridParams* params_;
-  ScoreMemo* memo_;
+  const IrregularGridParams* params_ = nullptr;
+  ScoreMemo* memo_ = nullptr;
   ProbKernel kernel_;
   BandedNetScorer banded_;
-  // Scratch buffers reused across the nets of one evaluation block (each
-  // block has its own scorer, so these are never shared between threads).
+  // Scratch buffers reused across nets, blocks and evaluate() calls (one
+  // scorer per thread, so these are never shared between threads).
   std::vector<GridRect> regions_;
   std::vector<double> probs_;
   std::vector<int> lx1_, lx2_, ly1_, ly2_;
@@ -308,6 +353,11 @@ LogFactorialTable& scoring_table() {
 ScoreMemo& scoring_memo() {
   thread_local ScoreMemo memo;
   return memo;
+}
+
+NetScorer& scoring_scorer() {
+  thread_local NetScorer scorer(scoring_table());
+  return scorer;
 }
 
 }  // namespace
@@ -344,10 +394,10 @@ IrregularCongestionMap IrregularGridModel::evaluate(
   const IrregularGridParams& params = params_;
   const std::uint64_t fingerprint = scoring_fingerprint(params_);
   ThreadPool::global().run(blocks, [&](int b) {
-    LogFactorialTable& table = scoring_table();
     ScoreMemo& memo = scoring_memo();
     memo.configure(params.score_cache_capacity, fingerprint);
-    NetScorer scorer(table, params, memo);
+    NetScorer& scorer = scoring_scorer();
+    scorer.bind(params, memo);
     std::vector<double>& flow = partial[static_cast<std::size_t>(b)];
     flow.assign(cells, 0.0);
     const FlowGrid out{&flow, cl.nx(), cl.ny()};
@@ -357,12 +407,21 @@ IrregularCongestionMap IrregularGridModel::evaluate(
     }
   });
 
-  // Ordered reduction (block 0 first, block N-1 last).
+  // Ordered reduction (block 0 first, block N-1 last in every cell), in
+  // parallel over contiguous cell ranges: each cell sums its partials in
+  // block order whichever thread takes its range, so the result does not
+  // depend on the thread count.
   std::vector<double> flow(cells, 0.0);
-  for (int b = 0; b < blocks; ++b) {
-    const std::vector<double>& p = partial[static_cast<std::size_t>(b)];
-    for (std::size_t i = 0; i < cells; ++i) flow[i] += p[i];
-  }
+  const int ranges = deterministic_block_count(cells);
+  ThreadPool::global().run(ranges, [&](int r) {
+    const BlockRange cell_range = block_range(cells, ranges, r);
+    for (int b = 0; b < blocks; ++b) {
+      const std::vector<double>& p = partial[static_cast<std::size_t>(b)];
+      for (std::size_t i = cell_range.begin; i < cell_range.end; ++i) {
+        flow[i] += p[i];
+      }
+    }
+  });
   return IrregularCongestionMap(std::move(lines), std::move(flow));
 }
 

@@ -37,7 +37,7 @@ enum class IrEvalStrategy {
   kExactPerRegion,
   /// Exact Formula 3 for ALL IR-grids of a net at once via per-cut-band
   /// prefix sums of the exit terms (multiplicative recurrences, no
-  /// binomials in the inner loop), two bands per 2-lane vector walk. Same
+  /// binomials in the inner loop), four bands per two-vector walk. Same
   /// results as kExactPerRegion to floating-point accuracy (while the band
   /// seeds do not underflow, g up to ~600) at O(g1) or O(g2) per band
   /// instead of per cell — the fast path for annealing-embedded use. An

@@ -15,9 +15,9 @@
 // (congestion/approx.hpp) and is bit-identical to it; approximated values
 // agree with it to the bound asserted in prob_property_test.
 //
-// A ProbKernel owns per-call scratch, so it is cheap to keep per
-// block-scorer (as IrregularGridModel does) and safe to use from one
-// thread at a time, like the rest of the scoring stack.
+// A ProbKernel owns per-call scratch, so it is cheap to keep per thread
+// (as IrregularGridModel's scorer does) and safe to use from one thread
+// at a time, like the rest of the scoring stack.
 #pragma once
 
 #include <optional>
@@ -55,6 +55,13 @@ class ProbKernel {
                                       std::span<double> out);
 
   const ApproxOptions& options() const { return options_; }
+
+  /// Replaces the options, validated as by the constructor; the scratch
+  /// buffers are kept.
+  void set_options(const ApproxOptions& options) {
+    options.validate();
+    options_ = options;
+  }
   const PathProbability& exact() const { return exact_; }
 
  private:

@@ -1,5 +1,6 @@
 // Irregular-Grid congestion model: end-to-end evaluation semantics.
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -11,6 +12,7 @@
 #include "congestion/banded.hpp"
 #include "congestion/fixed_grid.hpp"
 #include "congestion/irregular_grid.hpp"
+#include "congestion/prob_kernel.hpp"
 #include "floorplan/slicing.hpp"
 #include "route/two_pin.hpp"
 #include "util/rng.hpp"
@@ -28,8 +30,16 @@ IrregularGridParams fine_params() {
   return p;
 }
 
+// One step of the exit-term recurrence in the banded scorer's (q, v, p, u)
+// terms: both products of integers are exact, so the one division gives
+// the correctly rounded ratio.
+double step_factor(int q, int v, int p, int u) {
+  return (static_cast<double>(q + p) * u) /
+         (static_cast<double>(p) * (u + v));
+}
+
 // The banded net fill with every band walked on its own by scalar loops:
-// the reference the paired-lane walker must reproduce bit for bit.
+// the reference the four-lane walker must reproduce bit for bit.
 std::vector<double> scalar_banded_reference(LogFactorialTable& table,
                                             const NetGridShape& shape,
                                             const std::vector<int>& lx1_,
@@ -70,9 +80,7 @@ std::vector<double> scalar_banded_reference(LogFactorialTable& table,
       running += term;
       prefix_[static_cast<std::size_t>(x)] = running;
       if (x < g1 - 1) {
-        term *= (static_cast<double>(x + 1 + top) / (x + 1)) *
-                (static_cast<double>(g1 - 1 - x) /
-                 ((g1 - 1 - x) + (g2 - 2 - top)));
+        term *= step_factor(top, g2 - 2 - top, x + 1, g1 - 1 - x);
       }
     }
     for (int cx = 0; cx < ncx; ++cx) {
@@ -97,9 +105,7 @@ std::vector<double> scalar_banded_reference(LogFactorialTable& table,
       running += term;
       prefix_[static_cast<std::size_t>(y)] = running;
       if (y < g2 - 1) {
-        term *= (static_cast<double>(right + 1 + y) / (y + 1)) *
-                (static_cast<double>(g2 - 1 - y) /
-                 ((g1 - 2 - right) + (g2 - 1 - y)));
+        term *= step_factor(right, g1 - 2 - right, y + 1, g2 - 1 - y);
       }
     }
     for (int cy = 0; cy < ncy; ++cy) {
@@ -112,7 +118,7 @@ std::vector<double> scalar_banded_reference(LogFactorialTable& table,
     }
   }
 
-  // --- Pin override + clamp.
+  // --- Pin override (the caller clamps).
   for (int cy = 0; cy < ncy; ++cy) {
     const int cy1 = row_cy1_[static_cast<std::size_t>(cy)];
     const int cy2 = row_cy2_[static_cast<std::size_t>(cy)];
@@ -123,7 +129,6 @@ std::vector<double> scalar_banded_reference(LogFactorialTable& table,
       const bool covers_source = lx1 == 0 && cy1 == 0;
       const bool covers_sink = lx2 == g1 - 1 && cy2 == g2 - 1;
       if (covers_source || covers_sink) p = 1.0;
-      p = std::clamp(p, 0.0, 1.0);
     }
   }
   return probs_;
@@ -137,10 +142,7 @@ std::vector<double> scalar_band(int len, const ExitBand& band) {
   for (int x = 0; x < len; ++x) {
     running += term;
     prefix[static_cast<std::size_t>(x)] = running;
-    if (x < len - 1) {
-      term *= (static_cast<double>(x + 1 + band.q) / (x + 1)) *
-              (static_cast<double>(len - 1 - x) / ((len - 1 - x) + band.v));
-    }
+    if (x < len - 1) term *= step_factor(band.q, band.v, x + 1, len - 1 - x);
   }
   return prefix;
 }
@@ -351,7 +353,7 @@ TEST(IrregularGrid, BandedAmi49StreamIsBitIdenticalToGolden) {
   ASSERT_EQ(IrregularGridParams{}.strategy, IrEvalStrategy::kBandedExact);
   const StreamGolden golden =
       stream_golden("ami49", IrEvalStrategy::kBandedExact, ApproxOptions{});
-  EXPECT_EQ(golden.hash, 0xea19f351416d74eaull);
+  EXPECT_EQ(golden.hash, 0x282e40c0ae3e0c97ull);
   EXPECT_EQ(golden.cost, 0x1.41cdcb8822509p-10);
 }
 
@@ -370,32 +372,127 @@ TEST(IrregularGrid, PaperModeTheorem1Ami33StreamIsBitIdenticalToGolden) {
   EXPECT_EQ(golden.cost, 0x1.b6ac98f63472cp-9);
 }
 
-TEST(BandedWalker, PairedLanesMatchScalarRecurrenceBitForBit) {
-  // Two bands per 2-lane walk must give exactly the prefix sums of
-  // walking each alone, including the same band in both lanes (how an
-  // odd last band is walked) and bands whose ratios cross 1 mid-walk.
+TEST(BandedWalker, FourLanesMatchScalarRecurrenceBitForBit) {
+  // Four bands per walk must give exactly the prefix sums of walking each
+  // alone, including repeated bands (how a short last group is walked)
+  // and bands whose ratios cross 1 mid-walk.
   Rng rng(58);
+  const auto random_band = [&rng] {
+    return ExitBand{rng.uniform(1e-300, 1.0), rng.uniform_int(0, 700),
+                    rng.uniform_int(0, 700)};
+  };
   for (const int len : {1, 2, 3, 150, 600}) {
     for (int trial = 0; trial < 20; ++trial) {
-      const ExitBand a{rng.uniform(1e-300, 1.0), rng.uniform_int(0, 700),
-                       rng.uniform_int(0, 700)};
-      const ExitBand b = trial % 5 == 0
-                             ? a
-                             : ExitBand{rng.uniform(1e-300, 1.0),
-                                        rng.uniform_int(0, 700),
-                                        rng.uniform_int(0, 700)};
-      std::vector<double> pa(static_cast<std::size_t>(len));
-      std::vector<double> pb(static_cast<std::size_t>(len));
-      walk_band_pair(len, a, b, pa, pb);
-      const std::vector<double> ra = scalar_band(len, a);
-      const std::vector<double> rb = scalar_band(len, b);
-      for (std::size_t i = 0; i < pa.size(); ++i) {
-        ASSERT_EQ(std::bit_cast<std::uint64_t>(pa[i]),
-                  std::bit_cast<std::uint64_t>(ra[i]))
-            << "len " << len << " trial " << trial << " step " << i;
-        ASSERT_EQ(std::bit_cast<std::uint64_t>(pb[i]),
-                  std::bit_cast<std::uint64_t>(rb[i]))
-            << "len " << len << " trial " << trial << " step " << i;
+      std::array<ExitBand, 4> bands;
+      for (std::size_t k = 0; k < bands.size(); ++k) {
+        bands[k] = k > 0 && trial % 5 == 0 ? bands[k - 1] : random_band();
+      }
+      std::vector<double> prefix(4 * (static_cast<std::size_t>(len) + 1));
+      walk_band_quad(len, bands, prefix);
+      for (std::size_t k = 0; k < bands.size(); ++k) {
+        const std::vector<double> want = scalar_band(len, bands[k]);
+        ASSERT_EQ(prefix[k], 0.0);
+        for (std::size_t i = 0; i < want.size(); ++i) {
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(prefix[4 * (i + 1) + k]),
+                    std::bit_cast<std::uint64_t>(want[i]))
+              << "len " << len << " trial " << trial << " lane " << k
+              << " step " << i;
+        }
+      }
+    }
+  }
+}
+
+// True iff `d` is the double nearest num/den (ties to even), decided in
+// exact integer arithmetic. Requires d positive and normal.
+bool is_correctly_rounded(double d, std::uint64_t num, std::uint64_t den) {
+  using i128 = __int128;
+  int e = 0;
+  const double m = std::frexp(d, &e);  // d = m * 2^e, m in [0.5, 1)
+  const auto mant = static_cast<std::int64_t>(std::ldexp(m, 53));
+  // d = mant * 2^(e-53); scale by 2^(53-e) so the residual
+  // r = (num/den - d) * den * 2^(53-e) is an integer and ulp(d) maps to 1.
+  // num * 2^shift is within a factor 2 of mant * den < 2^107, so the
+  // 128-bit products below cannot overflow.
+  const int shift = 53 - e;
+  EXPECT_TRUE(shift >= 0 && std::bit_width(num) + shift <= 126)
+      << "factor " << d << " out of range";
+  const i128 r = (static_cast<i128>(num) << shift) -
+                 static_cast<i128>(mant) * static_cast<i128>(den);
+  const i128 den128 = static_cast<i128>(den);
+  if (r < 0 && mant == (std::int64_t{1} << 52)) {
+    return -4 * r <= den128;  // spacing below a power of two is ulp/2
+  }
+  const i128 twice = r < 0 ? -2 * r : 2 * r;
+  return twice < den128 || (twice == den128 && mant % 2 == 0);
+}
+
+TEST(BandedWalker, EachStepFactorIsTheCorrectlyRoundedRatio) {
+  // The recurrence's products are exact below 2^26, so each factor has
+  // one rounding: it is RN(((q+p)u) / (p(u+v))), the nearest double to
+  // the exact ratio. Includes operands just under the 2^26 bound.
+  Rng rng(61);
+  const int top = kMaxBandedSide - 1;
+  for (int trial = 0; trial < 20000; ++trial) {
+    const int hi = trial % 4 == 0 ? top : trial % 4 == 1 ? 4096 : 700;
+    const int q = rng.uniform_int(0, hi);
+    const int v = rng.uniform_int(0, hi);
+    const int p = rng.uniform_int(1, hi);
+    const int u = rng.uniform_int(1, hi);
+    const std::uint64_t num = static_cast<std::uint64_t>(q + p) *
+                              static_cast<std::uint64_t>(u);
+    const std::uint64_t den = static_cast<std::uint64_t>(p) *
+                              static_cast<std::uint64_t>(u + v);
+    const double f = step_factor(q, v, p, u);
+    ASSERT_TRUE(is_correctly_rounded(f, num, den))
+        << "q " << q << " v " << v << " p " << p << " u " << u;
+  }
+  // The checker itself: a neighbour of a correctly rounded factor fails.
+  EXPECT_TRUE(is_correctly_rounded(1.0 / 3.0, 1, 3));
+  EXPECT_FALSE(is_correctly_rounded(std::nextafter(1.0 / 3.0, 1.0), 1, 3));
+  EXPECT_FALSE(is_correctly_rounded(std::nextafter(1.0 / 3.0, 0.0), 1, 3));
+}
+
+TEST(BandedWalker, MatchesExactPerRegionAcrossShapes) {
+  // The banded fill, clamped as the model accumulates it, against exact
+  // Formula 3 per region on type I and II lattices up to 300 x 300, with
+  // 1 to 6 covered columns and rows, partitioned or arbitrary. The worst
+  // cell is off by ~2.4e-12, the same before and after the one-division
+  // recurrence: the prefix-sum differences dominate, not the factors.
+  Rng rng(62);
+  LogFactorialTable table;
+  BandedNetScorer scorer;
+  ProbKernel exact((PathProbability(table)));
+  std::vector<int> lx1, lx2, ly1, ly2;
+  std::vector<double> probs, want;
+  std::vector<GridRect> regions;
+  for (const int g1 : {2, 3, 17, 64, 150, 300}) {
+    for (const int g2 : {2, 3, 17, 64, 150, 300}) {
+      for (int variant = 0; variant < 4; ++variant) {
+        const NetGridShape shape{g1, g2, variant % 2 == 1};
+        const bool partition = variant < 2;
+        const int ncx = std::min(g1, rng.uniform_int(1, 6));
+        const int ncy = std::min(g2, rng.uniform_int(1, 6));
+        random_spans(rng, g1, ncx, partition, lx1, lx2);
+        random_spans(rng, g2, ncy, partition, ly1, ly2);
+        scorer.fill(table, shape, lx1, lx2, ly1, ly2, probs);
+        regions.clear();
+        for (int cy = 0; cy < ncy; ++cy) {
+          for (int cx = 0; cx < ncx; ++cx) {
+            regions.push_back(GridRect{lx1[static_cast<std::size_t>(cx)],
+                                       ly1[static_cast<std::size_t>(cy)],
+                                       lx2[static_cast<std::size_t>(cx)],
+                                       ly2[static_cast<std::size_t>(cy)]});
+          }
+        }
+        want.assign(regions.size(), 0.0);
+        exact.region_probability_exact_batch(shape, regions, want);
+        ASSERT_EQ(probs.size(), want.size());
+        for (std::size_t i = 0; i < probs.size(); ++i) {
+          ASSERT_NEAR(std::clamp(probs[i], 0.0, 1.0), want[i], 1e-11)
+              << "g " << g1 << 'x' << g2 << " variant " << variant
+              << " cell " << i;
+        }
       }
     }
   }

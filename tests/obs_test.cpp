@@ -231,6 +231,46 @@ TEST_F(ObsTest, AnnealEventsAreConsistentWithCounterTotals) {
   EXPECT_GT(report.counter(obs::Counter::kIrEvaluations), 0);
 }
 
+TEST_F(ObsTest, ClampCounterSeesOnlyBandedRoundingAtAnyThreadCount) {
+  // ir_probs_clamped counts the matrix cells whose clamp to [0, 1] moved
+  // them. Banded sums can land a few ulp outside; the region strategies
+  // return clamped values, so they never move.
+  const Netlist netlist = make_mcnc("ami33");
+  const SlicingPacker packer(netlist);
+  Rng rng(33);
+  PolishExpression expr =
+      PolishExpression::initial(static_cast<int>(netlist.module_count()));
+  std::vector<SlicingResult> candidates;
+  for (int c = 0; c < 6; ++c) {
+    for (int k = 0; k < 50; ++k) expr.random_move(rng);
+    candidates.push_back(packer.pack(expr));
+  }
+  struct Counts {
+    long long clamped;
+    long long banded;
+  };
+  const auto run = [&](IrEvalStrategy strategy, int threads) {
+    ThreadPool::set_global_threads(threads);
+    obs::set_trace_enabled(true);
+    obs::reset();
+    IrregularGridParams params;
+    params.strategy = strategy;
+    const IrregularGridModel model(params);
+    for (const SlicingResult& packed : candidates) {
+      (void)model.evaluate(decompose_to_two_pin(netlist, packed.placement),
+                           packed.placement.chip);
+    }
+    const obs::TraceReport report = obs::capture();
+    return Counts{report.counter(obs::Counter::kIrProbsClamped),
+                  report.counter(obs::Counter::kIrRegionsBanded)};
+  };
+  const Counts banded = run(IrEvalStrategy::kBandedExact, 1);
+  EXPECT_GT(banded.clamped, 0);
+  EXPECT_LT(banded.clamped, banded.banded);
+  EXPECT_EQ(run(IrEvalStrategy::kBandedExact, 4).clamped, banded.clamped);
+  EXPECT_EQ(run(IrEvalStrategy::kExactPerRegion, 1).clamped, 0);
+}
+
 TEST_F(ObsTest, JsonlExportRoundTripsThroughValidator) {
   obs::set_trace_enabled(true);
   ThreadPool::set_global_threads(2);

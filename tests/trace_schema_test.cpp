@@ -175,6 +175,17 @@ TEST(TraceSchema, EveryCounterAndPhaseNameIsRegistered) {
   }
 }
 
+TEST(TraceSchema, ClampCounterKeepsItsExportName) {
+  // The numerical-health counter of the banded scorer's clamp; trace
+  // readers look it up by this name.
+  EXPECT_STREQ(obs::counter_name(obs::Counter::kIrProbsClamped),
+               "ir_probs_clamped");
+  std::string error;
+  EXPECT_TRUE(obs::validate_trace_line(
+      R"({"type":"counter","name":"ir_probs_clamped","value":12})", &error))
+      << error;
+}
+
 TEST(TraceSchema, StreamValidatorRequiresLeadingMeta) {
   std::string error;
 
